@@ -4,8 +4,8 @@ decorator); :func:`repro.analysis.core.analyze_project` triggers the
 import lazily so framework users pay for rules only when running them.
 """
 
-from repro.analysis.rules import (api, caches, determinism, fastpath,
-                                  flow, protocol, slots)
+from repro.analysis.rules import (api, caches, determinism, discarded,
+                                  fastpath, flow, protocol, slots)
 
-__all__ = ["api", "caches", "determinism", "fastpath", "flow",
-           "protocol", "slots"]
+__all__ = ["api", "caches", "determinism", "discarded", "fastpath",
+           "flow", "protocol", "slots"]

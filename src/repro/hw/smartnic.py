@@ -17,8 +17,7 @@ This module provides the hardware services those handlers use:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable
 
 from repro.errors import ConfigError
@@ -28,8 +27,6 @@ from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.sim.network import Mailbox, Network, Packet, Port
 from repro.sim.resources import BoundedBuffer, Resource, Store
-
-_entry_ids = itertools.count()
 
 
 @dataclass(slots=True)
@@ -47,7 +44,6 @@ class FifoEntry:
     #: Fires once the entry has drained (applied or skipped as obsolete).
     drained: Event = None  # type: ignore[assignment]
     skipped: bool = False
-    entry_id: int = field(default_factory=lambda: next(_entry_ids))
     #: Protocol write id the entry belongs to (observability correlation).
     op_id: Any = None
     #: Simulation time of the enqueue; stamped unconditionally in
@@ -150,14 +146,14 @@ class SmartNic:
         packet = Packet(payload=envelope, size_bytes=envelope.size_bytes,
                         src=self._host_name, dst=self.endpoint,
                         kind="pcie")
-        self._pcie_up.send(packet, self.from_host)
+        self._pcie_up.post(packet, self.from_host)
 
     def send_to_host(self, payload: Any, size_bytes: int) -> None:
         """SNIC -> host message over PCIe (e.g. the batched ACK)."""
         packet = Packet(payload=payload, size_bytes=size_bytes,
                         src=self.endpoint, dst=self._host_name,
                         kind="pcie")
-        self._pcie_down.send(packet, self._host_inbox)
+        self._pcie_down.post(packet, self._host_inbox)
 
     # -- SNIC -> network messaging -----------------------------------------------
 

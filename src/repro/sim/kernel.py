@@ -12,24 +12,30 @@ order, so two runs of the same experiment produce identical event orders.
 Performance notes (the kernel bounds every experiment's wall-clock):
 
 * :meth:`Simulator.run` inlines the pop/advance/callback step with the heap
-  and queue bound to locals — the per-event cost is what limits events/sec
+  and queue bound to locals: that loop is the cost of one calendar entry
   (see :mod:`repro.bench.perf`).
 * :meth:`Simulator.sleep` hands out pooled, recycled :class:`Timeout`
   objects for the dominant fixed-delay pattern.  Pooling changes no
   calendar entry — only allocation traffic — and can be disabled by
   setting :attr:`timeout_pooling` to ``False`` (the perf-regression tests
   assert the calendar is identical either way).
-* All scheduling funnels through :meth:`_schedule_event`.  Tests that need
-  to record the calendar assign :attr:`Simulator.schedule_observer` — a
-  ``(event, delay)`` callable invoked on every push — instead of wrapping
-  the method (the class uses ``__slots__``, so per-instance method
-  monkeypatching is not possible).
+* What bounds an experiment is calendar entries per client op, so the
+  cheapest entry is the one never pushed: :meth:`Simulator.call_at` runs a
+  fixed-function device stage (the baseline NIC) on one entry per
+  completion, an unjoined process finishes in place, and ``Port.post``
+  schedules no serialization-done timeout (docs/simulator.md, "Processes
+  vs callbacks"; ``tests/sim/test_event_budget.py`` holds the count).
+* All scheduling funnels through :meth:`_schedule_event` and
+  :meth:`call_at`.  Tests that need to record the calendar assign
+  :attr:`Simulator.schedule_observer` — a ``(event, delay)`` callable
+  invoked on every push — instead of wrapping them (the class uses
+  ``__slots__``, so per-instance method monkeypatching is not possible).
 """
 
 from __future__ import annotations
 
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError, StopSimulation
 from repro.sim.events import (AllOf, AnyOf, Event, Timeout, _PooledTimeout,
@@ -144,6 +150,38 @@ class Simulator:
     def spawn(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a new process running *generator* at the current time."""
         return Process(self, generator, name=name)
+
+    def call_at(self, when: float, callback: Callable[[Event], None],
+                value: Any = None, ticket: int = 0) -> None:
+        """Run ``callback(event)`` at simulated time *when* with *value*
+        as the event's value: one calendar entry, no process.
+
+        *when* is absolute and becomes the heap key unchanged, so the
+        caller decides how the float is formed — ``now + cost`` lands
+        exactly where ``yield sim.sleep(cost)`` would have resumed.  A
+        *ticket* (see :meth:`ticket`) places the entry among same-time
+        entries as if it had been pushed when the ticket was taken.
+        """
+        now = self._now
+        if when < now:
+            raise SimulationError(
+                f"call_at({when}) is in the past (now={now})")
+        event = Event(self)
+        event._value = value
+        event.callbacks.append(callback)
+        if self.schedule_observer is not None:
+            self.schedule_observer(event, when - now)
+        if not ticket:
+            ticket = self._seq = self._seq + 1
+        _heappush(self._queue, (when, ticket, event))
+
+    def ticket(self) -> int:
+        """Reserve the next tie-break position without pushing anything:
+        for a wake-up that is usually not needed.  Passed to
+        :meth:`call_at` (once) if it turns out to be wanted, same-time
+        ties resolve as if it had been scheduled here."""
+        self._seq += 1
+        return self._seq
 
     # -- kernel plumbing ------------------------------------------------------
 

@@ -11,16 +11,13 @@ destination mailbox.  Egress serialization at a single port is what makes
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Store
-
-_packet_ids = itertools.count()
 
 
 @dataclass(slots=True)
@@ -38,30 +35,42 @@ class Packet:
     src: str
     dst: str
     kind: str = "data"
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
     sent_at: float = -1.0
     delivered_at: float = -1.0
 
     def clone(self) -> "Packet":
-        """A fresh-identity copy (used by fault injection to duplicate a
-        message in flight: delivery mutates per-packet timing fields)."""
+        """A distinct copy (used by fault injection to duplicate a message
+        in flight: delivery mutates per-packet timing fields)."""
         return Packet(payload=self.payload, size_bytes=self.size_bytes,
                       src=self.src, dst=self.dst, kind=self.kind,
                       sent_at=self.sent_at)
 
 
 class Mailbox(Store):
-    """A named receive queue for packets."""
+    """A named receive queue for packets: ``yield box.get()`` for a
+    process; a callback-driven device stage takes the deliveries itself
+    (:meth:`deliver_to`) and keeps its backlog here (``put`` / :meth:`poll`).
+    """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_deliver_cb")
 
     def __init__(self, sim: Simulator, name: str) -> None:
         super().__init__(sim, label=name)
         self.name = name
+        #: What :meth:`Port._schedule_delivery` attaches to a delivery.
+        self._deliver_cb: Callable[[Event], None] = self._enqueue
 
-    def _deliver_cb(self, event: Event) -> None:
-        """Calendar callback used by :meth:`Port._schedule_delivery`."""
+    def _enqueue(self, event: Event) -> None:
         self.put(event._value)
+
+    def deliver_to(self, callback: Callable[[Event], None]) -> None:
+        """Hand each delivery to ``callback(event)`` (packet in
+        ``event.value``) at its arrival instant instead of queueing it."""
+        self._deliver_cb = callback
+
+    def poll(self) -> Optional[Packet]:
+        """Non-blocking ``get``: the oldest queued packet, or ``None``."""
+        return self._items.popleft() if self._items else None
 
 
 class Port:
@@ -135,12 +144,11 @@ class Port:
 
     # -- API ------------------------------------------------------------------
 
-    def send(self, packet: Packet, mailbox: Mailbox) -> Event:
-        """Transmit *packet* to *mailbox*.
-
-        Returns an event that fires when serialization at this port is done
-        (i.e., when the sender may consider the message handed off).
-        """
+    def post(self, packet: Packet, mailbox: Mailbox) -> float:
+        """Transmit *packet* to *mailbox*, fire and forget: claim the
+        port, count the packet, schedule its delivery.  Returns the
+        seconds until serialization at this port is done; a sender that
+        need not wait for that spends no calendar entry on it."""
         packet.sent_at = self.sim.now
         done, wait = self._claim(packet.size_bytes)
         self.packets_sent += 1
@@ -148,7 +156,13 @@ class Port:
         if self.obs is not None:
             self.obs.net_packet(self.name, packet.kind, packet.size_bytes)
         self._deliver(packet, mailbox, done + self.latency)
-        return self.sim.sleep(wait, value=packet)
+        return wait
+
+    def send(self, packet: Packet, mailbox: Mailbox) -> Event:
+        """:meth:`post` *packet*, and return an event that fires when
+        serialization at this port is done (i.e., when the sender may
+        consider the message handed off)."""
+        return self.sim.sleep(self.post(packet, mailbox), value=packet)
 
     def transfer(self, size_bytes: int) -> Event:
         """Claim the port for a raw transfer (e.g. a DMA) with no mailbox
@@ -157,9 +171,11 @@ class Port:
         self.bytes_sent += size_bytes
         return self.sim.sleep(wait + self.latency)
 
-    def send_broadcast(self, packets_and_boxes: Iterable[tuple[Packet, Mailbox]],
-                       size_bytes: int) -> Event:
-        """Transmit one message to many destinations with one serialization.
+    def post_broadcast(self,
+                       packets_and_boxes: Iterable[tuple[Packet, Mailbox]],
+                       size_bytes: int) -> float:
+        """:meth:`post` one message to many destinations with one
+        serialization.
 
         *packets_and_boxes* supplies a distinct :class:`Packet` per
         destination (payloads may be shared), since delivery mutates packet
@@ -176,7 +192,15 @@ class Port:
         for packet, mailbox in pairs:
             packet.sent_at = self.sim.now
             self._deliver(packet, mailbox, done + self.latency)
-        return self.sim.sleep(wait)
+        return wait
+
+    def send_broadcast(self,
+                       packets_and_boxes: Iterable[tuple[Packet, Mailbox]],
+                       size_bytes: int) -> Event:
+        """:meth:`post_broadcast`, and return an event that fires when
+        the one serialization is done."""
+        return self.sim.sleep(self.post_broadcast(packets_and_boxes,
+                                                  size_bytes))
 
 
 class Network:

@@ -5,7 +5,9 @@ objects.  Each yield suspends the process until the event triggers; the
 kernel then resumes the generator with the event's value (or throws the
 event's exception into it).  A :class:`Process` is itself an event that
 triggers when the generator returns, so processes can be joined with
-``yield other_process``.
+``yield other_process``.  A process that nobody has joined by the time it
+returns finishes *in place* — value set, no completion entry on the
+calendar — and anyone who joins it later resumes immediately.
 """
 
 from __future__ import annotations
@@ -63,36 +65,48 @@ class Process(Event):
 
     def _resume(self, trigger: Event) -> None:
         """Advance the generator with the value/exception of *trigger*."""
-        self._waiting_on = None
         sim = self.sim
-        try:
-            # Direct slot access: *trigger* has fired by the time the kernel
-            # invokes this callback, so _exc/_value fully describe it.
-            if trigger._exc is None:
-                target = self._send(trigger._value)
-            else:
-                target = self._throw(trigger._exc)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:
-            if sim.strict:
-                raise
-            self.fail(exc)
-            return
-        if not isinstance(target, Event):
-            raise SimulationError(
-                f"process {self.name!r} yielded {target!r}; processes may "
-                "only yield Event instances")
-        if target.sim is not sim:
-            raise SimulationError(
-                f"process {self.name!r} yielded an event from another simulator")
-        self._waiting_on = target
-        # Inlined target.add_callback(self._resume): one yield = one wait.
-        if target.callbacks is None:
-            self._resume(target)
-        else:
-            target.callbacks.append(self._resume)
+        # One iteration per yield: an event whose callbacks already ran is
+        # fed straight back in (a loop, so joining any number of finished
+        # processes in a row costs no stack).
+        while True:
+            self._waiting_on = None
+            try:
+                # Direct slot access: *trigger* has fired by the time we
+                # get here, so _exc/_value fully describe it.
+                if trigger._exc is None:
+                    target = self._send(trigger._value)
+                else:
+                    target = self._throw(trigger._exc)
+            except StopIteration as stop:
+                if self.callbacks:
+                    self.succeed(stop.value)
+                else:
+                    # Nobody has joined: finish in place, as an event
+                    # whose (zero) callbacks have already run.
+                    self._value = stop.value
+                    self.callbacks = None
+                return
+            except BaseException as exc:
+                if sim.strict:
+                    raise
+                self.fail(exc)
+                return
+            if not isinstance(target, Event):
+                raise SimulationError(
+                    f"process {self.name!r} yielded {target!r}; processes "
+                    "may only yield Event instances")
+            if target.sim is not sim:
+                raise SimulationError(
+                    f"process {self.name!r} yielded an event from another "
+                    "simulator")
+            self._waiting_on = target
+            # Inlined target.add_callback(self._resume).
+            callbacks = target.callbacks
+            if callbacks is not None:
+                callbacks.append(self._resume)
+                return
+            trigger = target
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.triggered else "alive"

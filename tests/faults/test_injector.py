@@ -26,8 +26,11 @@ class TestDecisions:
         out = inj.deliveries(packet(), when=0.0)
         assert len(out) == 2
         original, copy = out[0][0], out[1][0]
-        assert copy.packet_id != original.packet_id
+        # clone() exists so the copies' timing fields are independent
+        assert copy is not original
         assert copy.payload == original.payload
+        copy.delivered_at = us(9)
+        assert original.delivered_at == -1.0
         assert inj.counters.duplicated == 1
 
     def test_certain_delay_shifts_arrival(self):

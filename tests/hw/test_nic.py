@@ -113,3 +113,64 @@ class TestDelivery:
         # hardware fan-out: all copies hit the wire together
         assert max(arrivals) - min(arrivals) < 1e-9
         assert nics[0].messages_sent == 1
+
+
+class TestTableIIITimings:
+    """The timing model pinned by numbers worked out by hand from Table
+    III (ns): PCIe 500 latency at 6.25 B/ns, NIC send cost 200 (data) /
+    100 (control), network 150 latency at 7 B/ns, 100 inter-message gap,
+    recv cost 100."""
+
+    PCIE_SER = 1024 / 6.25          # 163.84
+    NET_SER = 1024 / 7              # 146.2857...
+
+    def burst(self, dsts):
+        sim, _net, hosts, nics = build_pair()
+        arrivals = []
+        for i in set(dsts):
+            hosts[i].deliver_to(
+                lambda event: arrivals.append(sim.now * 1e9))
+        for i in dsts:
+            nics[0].host_deposit(Envelope(payload="inv", size_bytes=1024,
+                                          src_node=0, dst=i))
+        sim.run()
+        return arrivals
+
+    def test_three_message_burst(self):
+        first, second, third = self.burst((1, 2, 3))
+        # up PCIe, send cost, wire, recv cost, down PCIe
+        assert first == pytest.approx(
+            self.PCIE_SER + 500 + 200 + self.NET_SER + 150 + 100 +
+            self.PCIE_SER + 500, rel=1e-12)
+        assert first == pytest.approx(1923.9657142857143, rel=1e-12)
+        # The NIC starts the next message's send cost when the previous
+        # one has left the port, so messages leave one send cost + one
+        # serialization apart; the 100 ns gap is hidden under the 200 ns
+        # send cost that follows it.
+        step = 200 + self.NET_SER
+        assert second - first == pytest.approx(step, rel=1e-9)
+        assert third - second == pytest.approx(step, rel=1e-9)
+
+    def test_burst_to_one_destination_keeps_the_spacing(self):
+        """The receiving NIC (100 ns a message) is never the bottleneck."""
+        first, second, third = self.burst((1, 1, 1))
+        step = 200 + self.NET_SER
+        assert second - first == pytest.approx(step, rel=1e-9)
+        assert third - second == pytest.approx(step, rel=1e-9)
+
+    def test_control_messages_are_paced_by_cost_then_gap(self):
+        """64-byte messages: send cost 100 ns equals the gap, so the port
+        is claimed exactly as it frees: spacing = 100 + serialization."""
+        sim, _net, hosts, nics = build_pair()
+        arrivals = []
+        hosts[1].deliver_to(lambda event: arrivals.append(sim.now * 1e9))
+        for _ in range(3):
+            nics[0].host_deposit(Envelope(payload="ack", size_bytes=64,
+                                          src_node=0, dst=1))
+        sim.run()
+        first, second, third = arrivals
+        assert first == pytest.approx(
+            64 / 6.25 + 500 + 100 + 64 / 7 + 150 + 100 + 64 / 6.25 + 500,
+            rel=1e-12)
+        assert second - first == pytest.approx(100 + 64 / 7, rel=1e-9)
+        assert third - second == pytest.approx(100 + 64 / 7, rel=1e-9)

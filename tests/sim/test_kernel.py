@@ -124,3 +124,52 @@ class TestStop:
         sim.run()
         assert log[-1] == "stopping"
         assert sim.now == 5
+
+
+class TestCallAt:
+    def test_runs_callback_at_the_absolute_time_with_the_value(self, sim):
+        seen = []
+        sim.call_at(3.5, lambda event: seen.append((sim.now, event.value)),
+                    "payload")
+        sim.run()
+        assert seen == [(3.5, "payload")]
+        assert sim.events_processed == 1
+
+    def test_heap_key_is_the_float_given(self, sim):
+        """``when`` is not re-derived as now + (when - now)."""
+        def later():
+            yield sim.timeout(0.1)
+            sim.call_at(0.1 + 0.2, lambda event: seen.append(sim.now))
+
+        seen = []
+        sim.spawn(later())
+        sim.run()
+        assert seen == [0.1 + 0.2]
+
+    def test_schedule_observer_sees_it(self, sim):
+        pushes = []
+        sim.schedule_observer = lambda event, delay: pushes.append(delay)
+        sim.call_at(2.0, lambda event: None)
+        assert pushes == [2.0]
+
+    def test_past_rejected(self, sim):
+        sim.run(until=5)
+        with pytest.raises(SimulationError, match="past"):
+            sim.call_at(4.0, lambda event: None)
+
+    def test_ties_with_timeouts_break_by_push_order(self, sim):
+        order = []
+        sim.timeout(1).add_callback(lambda event: order.append("a"))
+        sim.call_at(1, lambda event: order.append("b"))
+        sim.timeout(1).add_callback(lambda event: order.append("c"))
+        sim.run()
+        assert order == ["a", "b", "c"]
+
+    def test_ticket_keeps_the_place_it_was_taken_at(self, sim):
+        order = []
+        sim.call_at(1, lambda event: order.append("before"))
+        ticket = sim.ticket()
+        sim.call_at(1, lambda event: order.append("after"))
+        sim.call_at(1, lambda event: order.append("ticketed"), ticket=ticket)
+        sim.run()
+        assert order == ["before", "ticketed", "after"]

@@ -112,6 +112,66 @@ class TestPort:
         assert port.bytes_sent == 128
 
 
+class TestPost:
+    """The fire-and-forget twins: same claim, count and delivery as
+    ``send`` / ``send_broadcast``, no serialization-done event."""
+
+    def packet(self):
+        return Packet(payload="m", size_bytes=1000, src="a", dst="b")
+
+    def test_post_returns_the_wait_and_schedules_only_the_delivery(self, sim):
+        port = make_port(sim, latency=100e-9, bandwidth=1e9, gap=50e-9)
+        box = Mailbox(sim, "dst")
+        pushes = []
+        sim.schedule_observer = lambda event, delay: pushes.append(delay)
+        assert port.post(self.packet(), box) == pytest.approx(1e-6)
+        # queued behind the first packet and the gap
+        assert port.post(self.packet(), box) == pytest.approx(2.05e-6)
+        assert pushes == [pytest.approx(1.1e-6), pytest.approx(2.15e-6)]
+        assert (port.packets_sent, port.bytes_sent) == (2, 2000)
+        sim.run()
+        assert len(box) == 2 and sim.events_processed == 2
+
+    def test_send_is_post_plus_the_wait(self, sim):
+        port = make_port(sim)
+        box = Mailbox(sim, "dst")
+        pushes = []
+        sim.schedule_observer = lambda event, delay: pushes.append(delay)
+        port.send(self.packet(), box)
+        assert pushes == [pytest.approx(1.1e-6), pytest.approx(1e-6)]
+
+    def test_post_broadcast_single_serialization(self, sim):
+        port = make_port(sim, latency=0.0, bandwidth=1e3)
+        boxes = [Mailbox(sim, f"d{i}") for i in range(3)]
+        wait = port.post_broadcast(
+            [(self.packet(), box) for box in boxes], 1000)
+        assert wait == pytest.approx(1.0)
+        sim.run()
+        assert [len(box) for box in boxes] == [1, 1, 1]
+        assert sim.events_processed == 3 and port.packets_sent == 1
+
+
+class TestMailboxConsumer:
+    def test_deliver_to_hands_over_the_delivery_event(self, sim):
+        port = make_port(sim)
+        box = Mailbox(sim, "dst")
+        seen = []
+        box.deliver_to(lambda event: seen.append((sim.now, event.value)))
+        packet = Packet(payload="m", size_bytes=1000, src="a", dst="b")
+        port.post(packet, box)
+        sim.run()
+        assert seen == [(pytest.approx(1.1e-6), packet)]
+        assert len(box) == 0  # the consumer decides whether to queue
+
+    def test_poll_is_a_non_blocking_get(self, sim):
+        box = Mailbox(sim, "dst")
+        assert box.poll() is None
+        box.put("first")
+        box.put("second")
+        assert (box.poll(), len(box)) == ("first", 1)
+        assert box.clear() == 1 and box.poll() is None
+
+
 class TestNetwork:
     def test_end_to_end_send(self, sim):
         net = Network(sim)
