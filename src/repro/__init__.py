@@ -78,8 +78,6 @@ _EXPORTS = {
     "ModelChecker": "repro.verify",
     "ProtocolSpec": "repro.verify",
     "WriteDef": "repro.verify",
-    "compile_protocol": "repro.compile",
-    "CompiledDispatch": "repro.compile",
     "run_check": "repro.check",
     "CheckReport": "repro.check",
     "CheckWorkload": "repro.check",

@@ -14,8 +14,8 @@
 * :mod:`~repro.analysis.flow.automaton` — assembles the per
   (consistency, persistency, arch) protocol automaton from those triples
   and exports it as the versioned ``protocol-graph.json`` IR (schema
-  :data:`~repro.analysis.flow.automaton.GRAPH_SCHEMA`), the seed input
-  for the planned protocol compiler (ROADMAP item 2).
+  :data:`~repro.analysis.flow.automaton.GRAPH_SCHEMA`), which the
+  ``flow-*`` lint rules consume and ``repro lint --graph`` exports.
 * :mod:`~repro.analysis.flow.explore` — a small-scope explicit-state
   explorer over the automaton (reachability closure from the client
   entry points) plus the combined happens-before relation the

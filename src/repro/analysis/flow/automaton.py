@@ -14,8 +14,8 @@ evaluator computes every property's truth value for each preset
 (``LIN_SYNCH`` ... ``EC_EVENT``) without importing the runtime module.
 
 :func:`export_graph` serialises the whole structure as the versioned
-``protocol-graph.json`` artifact (:data:`GRAPH_SCHEMA`), the seed IR
-for the planned protocol compiler (ROADMAP item 2).
+``protocol-graph.json`` artifact (:data:`GRAPH_SCHEMA`); the ``flow-*``
+lint rules consume the graph and ``repro lint --graph`` exports it.
 """
 
 from __future__ import annotations

@@ -67,12 +67,6 @@ The surface, by theme:
   over a checkout) and :func:`extract_protocol_graph` (the
   interprocedural protocol-flow IR, schema ``repro-protocol-graph/1``;
   see docs/static_analysis.md).
-* **Protocol compiler** — :func:`compile_protocol` resolving one
-  ⟨model, arch⟩ triple of the protocol graph into a
-  :class:`CompiledDispatch` (the flattened dispatch table + folded
-  model facts the specialized engines are generated from); clusters
-  use it via ``MinosCluster(engine_mode="compiled")``, the default
-  (see docs/protocol_compiler.md).
 """
 
 from __future__ import annotations
@@ -91,7 +85,6 @@ from repro.check import (CheckReport, CheckWorkload, DurabilityReport,
 from repro.ckpt import CheckpointConfig, CheckpointLine, CheckpointManager
 from repro.cluster.cluster import MinosCluster
 from repro.cluster.results import OpResult
-from repro.compile import CompiledDispatch, compile_protocol
 from repro.core.config import (MINOS_B, MINOS_O, ProtocolConfig,
                                config_by_name)
 from repro.core.model import (ALL_MODELS, EC_EVENT, EC_SYNCH, LIN_EVENT,
@@ -200,7 +193,4 @@ __all__ = [
     # static analysis
     "run_analysis",
     "extract_protocol_graph",
-    # protocol compiler
-    "compile_protocol",
-    "CompiledDispatch",
 ]

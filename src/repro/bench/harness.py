@@ -40,10 +40,6 @@ class ExperimentConfig:
     persist_every: Optional[int] = None
     #: Per-write payload size in bytes (None: machine default, 1 KB).
     value_size: Optional[int] = None
-    #: ``"compiled"`` (protocol-compiled engines, the default) or
-    #: ``"interpreted"`` (reference engines).  Calendar-identical either
-    #: way; only wall-clock differs.
-    engine_mode: str = "compiled"
     #: Coordinated checkpointing / CIC truncation for the run (a
     #: :class:`repro.ckpt.CheckpointConfig`); ``None`` keeps the hook
     #: inert and the calendar byte-identical.
@@ -89,7 +85,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Build a cluster per *config*, run the YCSB workload, reduce."""
     machine = config.machine.with_nodes(config.nodes)
     cluster = MinosCluster(model=config.model, config=config.config,
-                           params=machine, engine_mode=config.engine_mode)
+                           params=machine)
     if config.checkpoints is not None:
         cluster.enable_checkpoints(config.checkpoints)
     workload = YcsbWorkload(records=config.records,

@@ -248,45 +248,6 @@ def bench_macro_sharded(repeats: int = 3,
                        extra=curve)
 
 
-def bench_micro_follower_inv(engine_mode: str = "compiled",
-                             messages: int = 4_000,
-                             repeats: int = 5) -> BenchResult:
-    """Dispatch-path throughput: a stream of follower INVs pushed
-    straight into ``_handle_message`` on one node of a 3-node MINOS-B
-    cluster.  This is the path the protocol compiler flattens, so it is
-    where compiled-vs-interpreted differences are least diluted by the
-    DES kernel."""
-    from repro.cluster.cluster import MinosCluster
-    from repro.core.messages import Message, MsgType
-    from repro.core.timestamp import Timestamp
-    from repro.hw.params import DEFAULT_MACHINE
-
-    def run_once() -> Tuple[float, int]:
-        cluster = MinosCluster(params=DEFAULT_MACHINE.with_nodes(3),
-                               engine_mode=engine_mode)
-        # The generated ACKs land on node 1, which never initiated the
-        # writes — tolerate them instead of raising.
-        for node in cluster.nodes:
-            node.engine.tolerate_stale_acks = True
-        engine = cluster.nodes[0].engine
-        sim = cluster.sim
-        for i in range(messages):
-            msg = Message(type=MsgType.INV, key=f"k{i % 64}",
-                          ts=Timestamp(i // 64 + 1, 1), src=1, value=i,
-                          write_id=1_000 + i)
-            sim.spawn(engine._handle_message(msg), name=f"inv{i}")
-        start = time.perf_counter()
-        sim.run()
-        return time.perf_counter() - start, sim.events_processed
-
-    wall, events = _best_of(repeats, run_once)
-    return BenchResult(name=f"micro_follower_inv_{engine_mode}",
-                       wall_s=wall, events=events,
-                       events_per_sec=events / wall, repeats=repeats,
-                       extra={"engine_mode": engine_mode,
-                              "messages": float(messages)})
-
-
 def bench_macro_ckpt(repeats: int = 3, watermark: int = 20) -> BenchResult:
     """Checkpoint overhead on the default YCSB macro.
 
@@ -318,51 +279,6 @@ def bench_macro_ckpt(repeats: int = 3, watermark: int = 20) -> BenchResult:
                               "watermark": watermark,
                               "ckpt_off_events_per_sec": off_rate,
                               "overhead_ratio": rate / off_rate})
-
-
-def run_compare_modes(repeats: int = 5) -> Dict[str, object]:
-    """``repro bench --compare-modes``: compiled vs interpreted engines
-    on the default YCSB macro and the follower-INV dispatch micro.
-
-    Returns a BENCH_pr9.json payload: the four benchmark entries plus a
-    ``compare`` block with the speedups and an event-count identity
-    check (the modes must process *exactly* the same calendar — a
-    mismatch here means the compiler changed semantics and the numbers
-    are meaningless).
-    """
-    import platform
-
-    benchmarks: Dict[str, object] = {}
-    events: Dict[str, Dict[str, int]] = {"macro_ycsb": {},
-                                         "micro_follower_inv": {}}
-    walls: Dict[str, Dict[str, float]] = {"macro_ycsb": {},
-                                          "micro_follower_inv": {}}
-    for mode in ("interpreted", "compiled"):
-        macro = bench_macro_ycsb(ExperimentConfig(engine_mode=mode),
-                                 repeats=repeats)
-        macro.name = f"macro_ycsb_{mode}"
-        macro.extra["engine_mode"] = mode
-        micro = bench_micro_follower_inv(engine_mode=mode, repeats=repeats)
-        for result, kind in ((macro, "macro_ycsb"),
-                             (micro, "micro_follower_inv")):
-            benchmarks[result.name] = result.to_dict()
-            events[kind][mode] = result.events
-            walls[kind][mode] = result.wall_s
-    compare = {
-        "speedup_macro": (walls["macro_ycsb"]["interpreted"]
-                          / walls["macro_ycsb"]["compiled"]),
-        "speedup_micro": (walls["micro_follower_inv"]["interpreted"]
-                          / walls["micro_follower_inv"]["compiled"]),
-        "events_identical": all(
-            counts["interpreted"] == counts["compiled"]
-            for counts in events.values()),
-    }
-    return {
-        "schema": SCHEMA,
-        "python": platform.python_version(),
-        "benchmarks": benchmarks,
-        "compare": compare,
-    }
 
 
 _BENCHMARKS: Dict[str, Callable[..., BenchResult]] = {
@@ -468,13 +384,6 @@ def format_report(payload: Dict[str, object]) -> str:
                 lines.append(
                     f"  {'':15s} {label:>12s}: "
                     f"{result[key]:.2f}x vs single group")
-    compare = payload.get("compare")
-    if isinstance(compare, dict):
-        lines.append(
-            f"  compiled vs interpreted: "
-            f"macro {compare['speedup_macro']:.2f}x, "
-            f"micro {compare['speedup_micro']:.2f}x "
-            f"(calendars identical: {compare['events_identical']})")
     return "\n".join(lines)
 
 

@@ -172,15 +172,14 @@ def _one_run(model, config, nodes: int, workload: CheckWorkload,
              plan_seed: int, crash_at: Optional[float], label: str,
              clients_per_node: int, delay: float, reorder: float,
              recover_after: float, max_time: float, settle: float,
-             setup=None, engine_mode: str = "compiled",
-             victims: int = 1, checkpoints=None) -> _RunData:
+             setup=None, victims: int = 1,
+             checkpoints=None) -> _RunData:
     from repro.cluster.cluster import MinosCluster
     from repro.core.recovery import RecoveryManager
     from repro.faults import FaultPlan, LinkFaults
 
     cluster = MinosCluster(model=model, config=config,
-                           params=DEFAULT_MACHINE.with_nodes(nodes),
-                           engine_mode=engine_mode)
+                           params=DEFAULT_MACHINE.with_nodes(nodes))
     sim = cluster.sim
     obs = cluster.attach_obs()
     if setup is not None:
@@ -417,8 +416,7 @@ def run_check(model="synch", config="MINOS-B", nodes: int = 3,
               recover_after: float = us(300), settle: float = us(3_000),
               max_time: float = us(300_000),
               export: Optional[str] = None, setup=None,
-              engine_mode: str = "compiled", victims: int = 1,
-              checkpoints=None) -> CheckReport:
+              victims: int = 1, checkpoints=None) -> CheckReport:
     """Explore schedules and crash points; check every history.
 
     *setup* (when given) is called with each freshly built cluster
@@ -467,8 +465,7 @@ def run_check(model="synch", config="MINOS-B", nodes: int = 3,
                       clients_per_node=clients_per_node, delay=delay,
                       reorder=reorder, recover_after=recover_after,
                       max_time=max_time, settle=settle, setup=setup,
-                      engine_mode=engine_mode, victims=victims,
-                      checkpoints=checkpoints)
+                      victims=victims, checkpoints=checkpoints)
         baseline = _one_run(crash_at=None, label=f"seed{seed}", **common)
         record(baseline)
         if crash_points == "none":

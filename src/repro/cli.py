@@ -84,10 +84,6 @@ def _add_experiment_args(parser: argparse.ArgumentParser, *,
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--value-size", type=int, default=None,
                         help="record payload bytes (default 1024)")
-    parser.add_argument("--engine-mode", default="compiled",
-                        choices=("compiled", "interpreted"),
-                        help="protocol-compiled engines (default) or the "
-                        "interpreted reference engines")
     parser.add_argument("--json", action="store_true",
                         help="emit the results as JSON")
 
@@ -109,7 +105,6 @@ def _experiment_config(args: argparse.Namespace):
         distribution=args.distribution,
         seed=args.seed,
         value_size=args.value_size,
-        engine_mode=args.engine_mode,
     )
 
 
@@ -237,10 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--ckpt-watermark", type=int, default=0,
                        help="enable CIC truncation once a live log "
                        "crosses this many entries")
-    check.add_argument("--engine-mode", default="compiled",
-                       choices=("compiled", "interpreted"),
-                       help="protocol-compiled engines (default) or the "
-                       "interpreted reference engines")
     check.add_argument("--export", default=None, metavar="PREFIX",
                        dest="export_path",
                        help="on failure, write PREFIX.trace.json "
@@ -348,10 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--workers", type=int, default=None,
                        help="worker-pool size override for macro_sharded "
                        "(default: one worker per shard)")
-    bench.add_argument("--compare-modes", action="store_true",
-                       help="benchmark compiled vs interpreted engines "
-                       "(macro YCSB + follower-INV dispatch micro) and "
-                       "report the speedups — the BENCH_pr9.json payload")
     bench.add_argument("--json", action="store_true",
                        help="print the payload as JSON instead of a table")
 
@@ -378,10 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--graph", default=None, metavar="FILE",
                       help="also export the interprocedural protocol "
                       "graph (repro-protocol-graph/1 JSON) to FILE")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="with --graph: re-derive and rewrite the "
-                      "graph even when FILE's source fingerprint is "
-                      "current")
     lint.add_argument("--baseline", default=None, metavar="FILE",
                       help="suppression file (default: lint-baseline.json "
                       "at the repo root, when present)")
@@ -564,8 +547,7 @@ def _cmd_ckpt(args: argparse.Namespace) -> int:
 
     config = _experiment_config(args)
     cluster = MinosCluster(model=config.model, config=config.config,
-                           params=config.machine.with_nodes(config.nodes),
-                           engine_mode=config.engine_mode)
+                           params=config.machine.with_nodes(config.nodes))
     sim = cluster.sim
     interval = None if args.interval < 0 else us(args.interval)
     manager = cluster.enable_checkpoints(CheckpointConfig(
@@ -715,8 +697,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                        crash_points=args.crash_points,
                        crash_trials=args.crash_trials,
                        victims=args.victims, checkpoints=checkpoints,
-                       export=args.export_path,
-                       engine_mode=args.engine_mode)
+                       export=args.export_path)
     if args.json:
         import json
 
@@ -969,16 +950,12 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import perf
 
-    if args.compare_modes:
-        payload = perf.run_compare_modes(repeats=args.repeats)
-    else:
-        shard_counts = None
-        if args.shards:
-            shard_counts = tuple(int(part)
-                                 for part in args.shards.split(","))
-        payload = perf.run_bench(only=args.only, repeats=args.repeats,
-                                 shard_counts=shard_counts,
-                                 shard_workers=args.workers)
+    shard_counts = None
+    if args.shards:
+        shard_counts = tuple(int(part) for part in args.shards.split(","))
+    payload = perf.run_bench(only=args.only, repeats=args.repeats,
+                             shard_counts=shard_counts,
+                             shard_workers=args.workers)
     if args.output:
         import json
 
@@ -1068,20 +1045,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         result = analyze_project(project, baseline=baseline,
                                  only=args.rules)
         if args.graph:
-            # Content-hash cached: when FILE already carries the current
-            # tree's source fingerprint the (expensive) flow export is
-            # skipped entirely.  The derive callable reuses the project
-            # the lint rules just parsed, so a cache miss costs one
-            # export, not a second source-tree walk.
-            from repro.compile.graphio import refresh_graph
+            # Reuses the flow the lint rules just built from the parsed
+            # project, so the export costs no second source-tree walk.
+            from repro.analysis.flow import build_flow, export_graph
 
-            def _derive() -> dict:
-                from repro.analysis.flow import build_flow, export_graph
-
-                return export_graph(project.shared("flow", build_flow))
-
-            refresh_graph(Path(args.graph), root=root,
-                          use_cache=not args.no_cache, derive=_derive)
+            document = export_graph(project.shared("flow", build_flow))
+            Path(args.graph).write_text(
+                _json.dumps(document, indent=2) + "\n", encoding="utf-8")
     except Exception:  # noqa: BLE001 — analyzer crash is exit code 2
         traceback.print_exc()
         print("error: internal analyzer error (see traceback above)",

@@ -41,9 +41,7 @@ class Node:
 
     def __init__(self, sim: Simulator, node_id: int, params: MachineParams,
                  model: DDPModel, config: ProtocolConfig, network: Network,
-                 metrics: Metrics, peers: List[int],
-                 engine_mode: str = "compiled",
-                 protocol_graph=None) -> None:
+                 metrics: Metrics, peers: List[int]) -> None:
         # Imported here to keep hw/ <- core/ layering acyclic at import
         # time for the library's public modules.
         from repro.core.baseline.engine import BaselineEngine
@@ -52,44 +50,21 @@ class Node:
         self.node_id = node_id
         self.host = Host(sim, node_id, params)
         self.kv = MinosKV(sim, node_id)
-        engine_cls = _resolve_engine_class(
-            OffloadEngine if config.offload else BaselineEngine,
-            model, config, engine_mode, protocol_graph)
         if config.offload:
             self.snic = SmartNic(sim, node_id, params, network,
                                  self.host.inbox,
                                  batching=config.batching,
                                  broadcast=config.broadcast)
             self.nic = None
-            self.engine = engine_cls(sim, node_id, params, model, config,
-                                     self.host, self.snic, self.kv,
-                                     peers, metrics)
+            engine_cls, device = OffloadEngine, self.snic
         else:
             self.nic = BaselineNic(sim, node_id, params, network,
                                    self.host.inbox,
                                    broadcast=config.broadcast)
             self.snic = None
-            self.engine = engine_cls(sim, node_id, params, model, config,
-                                     self.host, self.nic, self.kv,
-                                     peers, metrics)
-
-
-def _resolve_engine_class(interpreted_cls, model, config, engine_mode,
-                          protocol_graph):
-    """Pick the engine class for one node: the protocol-compiled
-    subclass when ``engine_mode="compiled"`` and the graph knows the
-    triple, else the interpreted class (the compiler warns on
-    fallback)."""
-    if engine_mode == "interpreted":
-        return interpreted_cls
-    if engine_mode != "compiled":
-        raise ConfigError(
-            f"engine_mode must be 'compiled' or 'interpreted', "
-            f"not {engine_mode!r}")
-    from repro.compile import compiled_engine_class
-
-    compiled = compiled_engine_class(model, config, graph=protocol_graph)
-    return compiled if compiled is not None else interpreted_cls
+            engine_cls, device = BaselineEngine, self.nic
+        self.engine = engine_cls(sim, node_id, params, model, config,
+                                 self.host, device, self.kv, peers, metrics)
 
 
 class MinosCluster:
@@ -109,38 +84,30 @@ class MinosCluster:
         clients' arrival processes).  Two clusters built with different
         roots draw disjoint streams even inside one process — the
         sharded runner gives every shard its own root.
-    engine_mode:
-        ``"compiled"`` (default) builds nodes with protocol-compiled
-        engine classes specialized from the protocol-graph IR, falling
-        back to the interpreted engines with a warning when the graph
-        lacks the ⟨model, arch⟩ triple; ``"interpreted"`` always uses
-        the reference engines.  The two modes produce byte-identical
-        event calendars (``tests/compile/test_calendar_identity.py``).
-    protocol_graph:
-        Optional explicit ``repro-protocol-graph/1`` document for the
-        compiler (tests use scratch graphs); default: the committed /
-        derived project graph.
     """
 
     def __init__(self, model: DDPModel = LIN_SYNCH,
                  config: ProtocolConfig = MINOS_B,
                  params: MachineParams = DEFAULT_MACHINE,
-                 seed: Union[int, str] = 0,
-                 engine_mode: str = "compiled",
-                 protocol_graph=None) -> None:
+                 seed: Union[int, str] = 0) -> None:
+        if not isinstance(model, DDPModel):
+            raise ConfigError(
+                f"model must be a DDPModel, not {model!r}; look one up "
+                "with repro.model_by_name()")
+        if not isinstance(config, ProtocolConfig):
+            raise ConfigError(
+                f"config must be a ProtocolConfig, not {config!r}; look "
+                "one up with repro.config_by_name()")
         self.model = model
         self.config = config
         self.params = params
         self.seed = seed
-        self.engine_mode = engine_mode
         self.sim = Simulator()
         self.network = Network(self.sim)
         self.metrics = Metrics()
         peers = list(range(params.nodes))
         self.nodes = [Node(self.sim, node_id, params, model, config,
-                           self.network, self.metrics, peers,
-                           engine_mode=engine_mode,
-                           protocol_graph=protocol_graph)
+                           self.network, self.metrics, peers)
                       for node_id in peers]
         #: Installed :class:`repro.faults.FaultInjector` (None: fault-free).
         self.fault_injector = None

@@ -31,22 +31,6 @@ from repro.sim.kernel import Simulator
 
 P = Persistency
 
-#: Hot-path methods :mod:`repro.compile` re-emits with model/config
-#: branches folded and helper generators inlined.  ``_handle_message``
-#: is not listed: the compiler *generates* it from the protocol graph's
-#: dispatch table instead of transforming this module's source.
-COMPILED_METHODS = (
-    "client_write", "client_read", "client_persist",
-    "_client_write_eventual", "_ec_follower_inv",
-    "_deposit_fanout", "_deposit_invs", "_deposit_vals",
-    "_val_rebroadcast",
-    "_coordinator_finish", "_renf_finish",
-    "_handle_ack", "_answer_duplicate",
-    "_ack_obsolete", "_follower_inv", "_follower_ack_updated",
-    "_renf_follower_persist", "_eventual_persist",
-    "_follower_val", "_follower_persist",
-)
-
 
 class BaselineEngine(EngineBase):
     """Per-node MINOS-B protocol engine."""
@@ -391,12 +375,24 @@ class BaselineEngine(EngineBase):
     def client_read(self, key: Any):
         """Reads are satisfied locally; they stall only while the record's
         RDLock is taken."""
-        started = self.sim.now
+        sim = self.sim
+        started = sim.now
         params = self.params
+        host = self.host
         op_id = None
         if self.obs is not None:
             op_id = self.obs.begin_read(self.node_id, key)
-        yield from self.host.compute(params.host.request_overhead)
+        # The two core holds below are Host.compute's body written out:
+        # a read is ~5 calendar events, so a generator frame per hold is
+        # a measurable share of a read-only workload.
+        d = params.host.request_overhead
+        if d > 0:
+            yield host.cores.request()
+            try:
+                yield sim.sleep(d)
+                host.busy_time += d
+            finally:
+                host.cores.release()
         meta = self.kv.meta(key)
         if not self.model.is_eventual_consistency and not meta.rdlock_free:
             self.metrics.counters.read_stalls += 1
@@ -405,9 +401,15 @@ class BaselineEngine(EngineBase):
             yield from meta.wait_rdlock_free()
             if self.obs is not None:
                 self.obs.seg_end(self.node_id, op_id, "rdlock_wait")
-        probes = self.kv.lookup_probes(key)
-        yield from self.host.compute(params.host.kv_lookup * probes)
-        yield self.host.llc.access(params.record_size)
+        d = params.host.kv_lookup * self.kv.lookup_probes(key)
+        if d > 0:
+            yield host.cores.request()
+            try:
+                yield sim.sleep(d)
+                host.busy_time += d
+            finally:
+                host.cores.release()
+        yield host.llc.access(params.record_size)
         versioned = self.kv.volatile_read(key)
         latency = self.record_read_metrics(started)
         if self.obs is not None:
@@ -774,8 +776,7 @@ class BaselineEngine(EngineBase):
         """Coordinator side of one checkpoint round: quiesce per the
         persistency model, fence the local NvmLog, then broadcast the
         barrier request.  The CKPT message is built *here* (not in the
-        CheckpointManager) so the protocol-flow analysis sees the send
-        and the compiled dispatch grows the CKPT arm."""
+        CheckpointManager) so the protocol-flow analysis sees the send."""
         yield from self.ckpt_quiesce()
         yield self.host.nvm.persist(self.params.control_size)  # fence record
         if self.ckpt is not None:

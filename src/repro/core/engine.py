@@ -27,11 +27,6 @@ from repro.metrics.stats import Metrics
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 
-#: :class:`EngineBase` methods shared by both arches that
-#: :mod:`repro.compile` also specializes (their persistency branches
-#: fold the same way the arch-specific ones do).
-COMPILED_BASE_METHODS = ("handle_obsolete", "client_complete_event")
-
 
 @dataclass(slots=True)
 class WriteResult:

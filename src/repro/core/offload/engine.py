@@ -40,23 +40,6 @@ from repro.sim.kernel import Simulator
 
 P = Persistency
 
-#: Hot-path methods :mod:`repro.compile` re-emits with model/config
-#: branches folded and helper calls inlined.  ``_snic_net_handle`` is
-#: not listed: the compiler *generates* it from the protocol graph's
-#: dispatch table instead of transforming this module's source.
-COMPILED_METHODS = (
-    "client_write", "client_read", "client_persist",
-    "_client_write_eventual", "_snic_ec_coord_local",
-    "_snic_ec_follower_inv",
-    "_host_deposit_invs", "_host_handle",
-    "_snic_coord_inv", "_snic_coord_local", "_client_done_event",
-    "_notify_host_complete", "_snic_coord_completion",
-    "_snic_send_vals", "_snic_val_rebroadcast", "_snic_coord_persist",
-    "_snic_answer_duplicate", "_snic_on_ack",
-    "_snic_ack_obsolete", "_snic_follower_inv",
-    "_snic_follower_val", "_snic_follower_persist",
-)
-
 
 class OffloadEngine(EngineBase):
     """Per-node MINOS-O protocol engine (host + SNIC halves)."""
@@ -902,8 +885,7 @@ class OffloadEngine(EngineBase):
         the VAL broadcasts): quiesce per the persistency model, fence the
         local NvmLog, then broadcast the barrier request.  The CKPT
         message is built *here* (not in the CheckpointManager) so the
-        protocol-flow analysis sees the send and the compiled dispatch
-        grows the CKPT arm."""
+        protocol-flow analysis sees the send."""
         yield from self.ckpt_quiesce()
         yield self.sim.sleep(  # fence record into the dFIFO
             self.params.dfifo_write_time(self.params.control_size))

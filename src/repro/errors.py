@@ -35,19 +35,6 @@ class ConfigError(ReproError):
     """Invalid experiment, hardware, or protocol configuration."""
 
 
-class CompileError(ReproError):
-    """The protocol compiler was handed a graph it cannot specialize
-    from: a corrupt dispatch table, a missing model fact, or an entry
-    handler the engine does not define.  Deliberately loud — a graph
-    that disagrees with the engines must never fall back silently."""
-
-
-class TripleNotInGraph(CompileError):
-    """The requested ⟨consistency, persistency, arch⟩ triple is absent
-    from the protocol graph.  The engine factory catches exactly this
-    and falls back to the interpreted engine with a warning."""
-
-
 class KVError(ReproError):
     """Errors from the MINOS-KV store (missing keys, bad record sizes)."""
 

@@ -5,7 +5,8 @@ import pytest
 from repro import ALL_MODELS, LIN_RENF, LIN_STRICT, LIN_SYNCH, MINOS_B
 from repro.cluster.cluster import MinosCluster
 from repro.core.timestamp import Timestamp
-from repro.hw.params import MachineParams
+from repro.hw.params import HostParams, MachineParams
+from repro.sim.resources import Resource
 
 
 def cluster(model=LIN_SYNCH, nodes=3):
@@ -208,3 +209,51 @@ class TestBatchedBaseline:
         c.sim.run()
         for node in c.nodes:
             assert node.kv.volatile_read("k").value == "v1"
+
+
+class CountingCores(Resource):
+    """Host cores that count the requests made of them."""
+
+    requests = 0
+
+    def request(self):
+        self.requests += 1
+        return super().request()
+
+
+class TestReadCoreHolds:
+    """``client_read`` holds a host core for the request overhead, again
+    for the hashtable lookup, then reads the LLC.  The costs are powers
+    of two, so every sum below is exact."""
+
+    def build(self, **host):
+        costs = {"request_overhead": 2.0 ** -23, "kv_lookup": 2.0 ** -25,
+                 "llc_access_per_kb": 2.0 ** -24, **host}
+        params = MachineParams(nodes=3, host=HostParams(**costs))
+        c = MinosCluster(model=LIN_SYNCH, config=MINOS_B, params=params)
+        c.load_records([("k", "v0")])
+        node = c.nodes[0]
+        lookup = costs["kv_lookup"] * node.kv.lookup_probes("k")
+        llc = node.host.llc.service_time(params.record_size)
+        return c, costs["request_overhead"], lookup, llc
+
+    def test_uncontended_read_latency(self):
+        c, overhead, lookup, llc = self.build()
+        assert c.read(0, "k").latency == overhead + lookup + llc
+
+    def test_second_read_on_one_core_finishes_one_hold_later(self):
+        c, overhead, lookup, llc = self.build(cores=1)
+        engine = c.nodes[0].engine
+        reads = [c.sim.spawn(engine.client_read("k")) for _ in range(2)]
+        c.sim.run()
+        first, second = (read.value.latency for read in reads)
+        # One core, taken in turn: overhead A, overhead B, lookup A, lookup B.
+        assert first == 2 * overhead + lookup + llc
+        assert second == first + lookup
+
+    def test_zero_request_overhead_skips_its_core_request(self):
+        c, _, lookup, llc = self.build(request_overhead=0.0)
+        host = c.nodes[0].host
+        host.cores = CountingCores(c.sim, host.params.host.cores)
+        assert c.read(0, "k").latency == lookup + llc
+        assert host.cores.requests == 1  # the lookup hold only

@@ -8,9 +8,12 @@ the removal of calendar entries that run no callback brought the 5-node
 entries per op to about 90 / 97; a change that quietly puts a generator
 hop or a fire-and-forget timeout back shows up here.
 
-The bounds carry ~4 % slack on purpose: ``kv/hashtable.py`` probes with
-builtin ``hash()``, so the count wobbles by a few tenths of a percent
-with ``PYTHONHASHSEED`` (ROADMAP item 1), and tier-1 does not pin it.
+The bounds sit just above the measured spread: ``kv/hashtable.py``
+probes with builtin ``hash()``, so the count wobbles with
+``PYTHONHASHSEED`` (ROADMAP item 1), and tier-1 does not pin it.  At
+this run's size, 241 hash seeds gave 93.5–94.5 (MINOS-B) and
+100.7–102.1 (MINOS-O) entries per op; about one seed in twenty put
+MINOS-O above 102.0.
 """
 
 import pytest
@@ -36,7 +39,7 @@ def run(config, write_fraction, requests_per_client, observer=None):
 
 
 @pytest.mark.parametrize("config, budget", [(MINOS_B, 95.0),
-                                            (MINOS_O, 102.0)],
+                                            (MINOS_O, 102.5)],
                          ids=["MINOS-B", "MINOS-O"])
 def test_half_writes_stay_within_the_entry_budget(config, budget):
     entries, ops = run(config, 0.5, requests_per_client=100)
