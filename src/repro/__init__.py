@@ -92,14 +92,6 @@ _EXPORTS = {
     "check_rollback": "repro.check",
     "restore_line": "repro.check",
     "shrink_history": "repro.check",
-    "ShardedCheckReport": "repro.check",
-    "check_sharded_history": "repro.check",
-    "ShardRouter": "repro.shard",
-    "HashRing": "repro.shard",
-    "ShardedRunConfig": "repro.shard",
-    "ShardedResult": "repro.shard",
-    "run_sharded": "repro.shard",
-    "ShardedWorkload": "repro.workloads.sharding",
     "Observability": "repro.obs",
     "MetricsRegistry": "repro.obs",
     "LogHistogram": "repro.obs",

@@ -5,10 +5,10 @@ A module-global dict/list/set that functions write into (the classic
 
 * it survives across cluster runs inside one process, so back-to-back
   experiments are not independent (the second run starts warm);
-* it is inherited by forked workers, so the parallel shard executor
-  (:mod:`repro.shard.parallel`) would hand each worker a copy whose
+* it is inherited by forked workers, so the figure-sweep pool
+  (:mod:`repro.bench.pool`) would hand each worker a copy whose
   contents depend on what the parent process happened to compute first
-  — an invisible input that serial ≡ parallel equivalence cannot
+  — an invisible input that serial ≡ pooled equivalence cannot
   tolerate.
 
 Everything under ``repro/`` either feeds the deterministic event
@@ -181,7 +181,7 @@ def _module_cache_findings(module: ModuleSource) -> Iterator[Finding]:
             message=(f"module-level mutable container {name!r} is mutated "
                      f"by {where or 'a function'} (line "
                      f"{getattr(mutator, 'lineno', '?')}); process-lifetime "
-                     f"caches leak state across runs and into forked shard "
+                     f"caches leak state across runs and into forked sweep "
                      f"workers — use a bounded functools.lru_cache or "
                      f"instance state instead"))
 

@@ -45,16 +45,6 @@ The surface, by theme:
 * **Microservices** — :data:`MEDIA_LOGIN` / :data:`SOCIAL_LOGIN`
   workflows with :func:`run_microservice` (Fig. 14), and :func:`us`
   for microsecond literals.
-* **Sharding** — :class:`ShardRouter` (consistent-hash routing of the
-  keyspace across N independent protocol groups, same
-  ``write``/``read``/``persist_scope`` surface as one cluster),
-  :class:`HashRing`, :class:`ShardedWorkload`, and the executor pair
-  :class:`ShardedRunConfig` + :func:`run_sharded` returning a
-  :class:`ShardedResult` (deterministically merged metrics, history,
-  and trace — serial and parallel executors produce identical
-  results).  Merged histories are validated with
-  :func:`check_sharded_history` (:class:`ShardedCheckReport`): see
-  docs/sharding.md.
 * **Observability** — :class:`Observability` (attach via
   :meth:`MinosCluster.attach_obs`), :class:`MetricsRegistry` /
   :class:`LogHistogram`, the :class:`Span` / :class:`Segment` records,
@@ -78,9 +68,8 @@ from repro.bench.harness import (ExperimentConfig, ExperimentResult,
 from repro.check import (CheckReport, CheckWorkload, DurabilityReport,
                          History, HistoryOp, HistoryRecorder,
                          LinearizabilityReport, RecordingClient,
-                         ShardedCheckReport, check_durability,
-                         check_linearizability, check_rollback,
-                         check_sharded_history, restore_line, run_check,
+                         check_durability, check_linearizability,
+                         check_rollback, restore_line, run_check,
                          shrink_history)
 from repro.ckpt import CheckpointConfig, CheckpointLine, CheckpointManager
 from repro.cluster.cluster import MinosCluster
@@ -99,11 +88,8 @@ from repro.metrics.stats import Metrics
 from repro.obs import (LogHistogram, MetricsRegistry, Observability,
                        Segment, Span, chrome_trace, validate_chrome_trace,
                        write_chrome_trace, write_jsonl)
-from repro.shard import (HashRing, ShardedResult, ShardedRunConfig,
-                         ShardRouter, run_sharded)
 from repro.verify import ModelChecker, ProtocolSpec, WriteDef
 from repro.workloads import MEDIA_LOGIN, SOCIAL_LOGIN
-from repro.workloads.sharding import ShardedWorkload
 from repro.workloads.ycsb import YcsbWorkload
 
 __all__ = [
@@ -167,15 +153,6 @@ __all__ = [
     "check_rollback",
     "restore_line",
     "shrink_history",
-    # sharding
-    "ShardRouter",
-    "HashRing",
-    "ShardedWorkload",
-    "ShardedRunConfig",
-    "ShardedResult",
-    "run_sharded",
-    "ShardedCheckReport",
-    "check_sharded_history",
     # observability
     "Observability",
     "MetricsRegistry",

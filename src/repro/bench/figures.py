@@ -8,20 +8,28 @@ parameter picks request-count presets: ``"smoke"`` for tests,
 sizes (hours of wall-clock in a pure-Python DES — documented, not used by
 the suite).
 
+Each figure builds its list of independent points, maps them through
+:func:`repro.bench.pool.run_ordered` (a fork pool; rows are identical to
+a serial loop) and reduces the results in point order.
+
 EXPERIMENTS.md records the paper-vs-measured comparison for every one of
 these.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from dataclasses import replace
+from functools import partial
+from typing import Dict, List, Tuple
 
 from repro.bench.harness import (ExperimentConfig, run_experiment,
                                  run_microservice)
+from repro.bench.pool import run_ordered
 from repro.core.config import (ABLATION_CONFIGS, MINOS_B, MINOS_O,
                                ProtocolConfig)
 from repro.core.model import ALL_MODELS, LIN_SYNCH
 from repro.hw.params import DEFAULT_MACHINE, ns, us
+from repro.metrics.stats import Summary
 from repro.workloads.deathstar import MEDIA_LOGIN, SOCIAL_LOGIN
 
 #: Request-count presets: (records, requests_per_client, clients_per_node).
@@ -50,9 +58,10 @@ def fig4(scale: str = "default") -> List[Dict[str, object]]:
     Paper shape: conservative persistency ⇒ higher computation time;
     communication contributes 51-73 % and varies less across models.
     """
+    results = run_ordered(run_experiment, [
+        _base(scale, model=model, config=MINOS_B) for model in ALL_MODELS])
     rows = []
-    for model in ALL_MODELS:
-        result = run_experiment(_base(scale, model=model, config=MINOS_B))
+    for model, result in zip(ALL_MODELS, results):
         breakdown = result.breakdown
         rows.append({
             "model": str(model),
@@ -77,13 +86,13 @@ def fig9(scale: str = "default",
     throughput grows with the write fraction while its latency barely
     moves.
     """
-    results = {}
-    for arch in (MINOS_B, MINOS_O):
-        for model in models:
-            for mix in mixes:
-                cfg = _base(scale, model=model, config=arch,
-                            write_fraction=mix)
-                results[(arch.name, str(model), mix)] = run_experiment(cfg)
+    keys = [(arch, model, mix) for arch in (MINOS_B, MINOS_O)
+            for model in models for mix in mixes]
+    runs = run_ordered(run_experiment, [
+        _base(scale, model=model, config=arch, write_fraction=mix)
+        for arch, model, mix in keys])
+    results = {(arch.name, str(model), mix): run
+               for (arch, model, mix), run in zip(keys, runs)}
     base = results[("MINOS-B", str(LIN_SYNCH), 0.5)]
     writes, reads = [], []
     for (arch, model, mix), res in results.items():
@@ -118,12 +127,13 @@ def fig10(scale: str = "default", models=ALL_MODELS,
     two nodes.  Paper shape: O's throughput rises with node count at
     modest latency cost; B's latency rises quickly with little
     throughput gain."""
-    results = {}
-    for arch in (MINOS_B, MINOS_O):
-        for model in models:
-            for nodes in node_counts:
-                cfg = _base(scale, model=model, config=arch, nodes=nodes)
-                results[(arch.name, str(model), nodes)] = run_experiment(cfg)
+    keys = [(arch, model, nodes) for arch in (MINOS_B, MINOS_O)
+            for model in models for nodes in node_counts]
+    runs = run_ordered(run_experiment, [
+        _base(scale, model=model, config=arch, nodes=nodes)
+        for arch, model, nodes in keys])
+    results = {(arch.name, str(model), nodes): run
+               for (arch, model, nodes), run in zip(keys, runs)}
     base = results[("MINOS-B", str(LIN_SYNCH), node_counts[0])]
     writes, reads = [], []
     for (arch, model, nodes), res in results.items():
@@ -147,6 +157,13 @@ def fig10(scale: str = "default", models=ALL_MODELS,
 # Figure 11 — DeathStar Login end-to-end latency
 # ----------------------------------------------------------------------
 
+def _microservice(point: Tuple, **knobs) -> Summary:
+    """One fig11 point: ``(function, model, arch)`` -> the end-to-end
+    latency summary of :func:`run_microservice`."""
+    function, model, arch = point
+    return run_microservice(function, model, arch, **knobs)
+
+
 def fig11(scale: str = "default", models=ALL_MODELS,
           nodes: int = 16) -> List[Dict[str, object]]:
     """End-to-end latency of the Social/Media Login functions on a
@@ -157,15 +174,15 @@ def fig11(scale: str = "default", models=ALL_MODELS,
     # MINOS-B's storage time a significant share of the 500 us RTT.
     invocations, clients = {"smoke": (2, 3), "default": (3, 5),
                             "full": (50, 5)}[scale]
-    raw = {}
-    for model in models:
-        for function in (SOCIAL_LOGIN, MEDIA_LOGIN):
-            for arch in (MINOS_B, MINOS_O):
-                summary = run_microservice(
-                    function, model, arch, nodes=nodes,
-                    invocations_per_node=invocations,
-                    clients_per_node=clients)
-                raw[(str(model), function.application, arch.name)] = summary
+    points = [(function, model, arch) for model in models
+              for function in (SOCIAL_LOGIN, MEDIA_LOGIN)
+              for arch in (MINOS_B, MINOS_O)]
+    summaries = run_ordered(
+        partial(_microservice, nodes=nodes,
+                invocations_per_node=invocations, clients_per_node=clients),
+        points)
+    raw = {(str(model), function.application, arch.name): summary
+           for (function, model, arch), summary in zip(points, summaries)}
     base = raw[(str(LIN_SYNCH), "social", "MINOS-B")]
     rows = []
     for (model, app, arch), summary in raw.items():
@@ -189,10 +206,9 @@ def fig12(scale: str = "default") -> List[Dict[str, object]]:
     (offload+coherence+no-WRLock) −43.3 %; Combined+broadcast ≈ Combined;
     Combined+batching *slower* than Combined (batch unpack); full
     MINOS-O −50.7 %."""
-    results = []
-    for arch in ABLATION_CONFIGS:
-        cfg = _base(scale, model=LIN_SYNCH, config=arch, write_fraction=1.0)
-        results.append((arch, run_experiment(cfg)))
+    results = list(zip(ABLATION_CONFIGS, run_ordered(run_experiment, [
+        _base(scale, model=LIN_SYNCH, config=arch, write_fraction=1.0)
+        for arch in ABLATION_CONFIGS])))
     base = results[0][1]
     rows = []
     for arch, res in results:
@@ -214,11 +230,10 @@ def fig13(scale: str = "default",
     """MINOS-O ⟨Lin, Synch⟩ 50/50 write latency vs FIFO capacity,
     normalized to unlimited entries.  Paper shape: 3-5 entries match
     unlimited."""
-    results = []
-    for entries in sizes:
-        machine = DEFAULT_MACHINE.with_fifo_entries(entries)
-        cfg = _base(scale, model=LIN_SYNCH, config=MINOS_O, machine=machine)
-        results.append((entries, run_experiment(cfg)))
+    results = list(zip(sizes, run_ordered(run_experiment, [
+        _base(scale, model=LIN_SYNCH, config=MINOS_O,
+              machine=DEFAULT_MACHINE.with_fifo_entries(entries))
+        for entries in sizes])))
     unlimited = next(res for entries, res in results if entries is None)
     rows = []
     for entries, res in results:
@@ -235,67 +250,60 @@ def fig13(scale: str = "default",
 # Figure 14 — sensitivity to persist latency, key distribution, DB size
 # ----------------------------------------------------------------------
 
+def _speedup(config: ExperimentConfig) -> float:
+    """One fig14 point: MINOS-B over MINOS-O mean write latency."""
+    baseline = run_experiment(replace(config, config=MINOS_B))
+    offload = run_experiment(replace(config, config=MINOS_O))
+    return baseline.write_latency.mean / offload.write_latency.mean
+
+
 def fig14(scale: str = "default") -> List[Dict[str, object]]:
     """Write-latency speedup of MINOS-O over MINOS-B under varying
     persist latency, key distribution, and database size.  Paper shape:
     speedup grows with persist latency (avg 2.2×); ≈2× regardless of
     distribution or database size."""
-    rows: List[Dict[str, object]] = []
-
-    def speedup(**overrides) -> float:
-        results = {}
-        for arch in (MINOS_B, MINOS_O):
-            cfg = _base(scale, model=LIN_SYNCH, config=arch, **overrides)
-            results[arch.name] = run_experiment(cfg)
-        return (results["MINOS-B"].write_latency.mean /
-                results["MINOS-O"].write_latency.mean)
-
+    records, _requests, _clients = SCALES[scale]
+    knobs: List[Tuple[str, str, Dict[str, object]]] = []
     for persist in (ns(100), ns(1295), us(10), us(100)):
         machine = DEFAULT_MACHINE.with_persist_latency(persist)
-        rows.append({
-            "knob": "persist_latency",
-            "value": f"{persist * 1e9:g}ns",
-            "speedup": speedup(machine=machine),
-        })
+        knobs.append(("persist_latency", f"{persist * 1e9:g}ns",
+                      {"machine": machine}))
     for distribution in ("zipfian", "uniform"):
-        rows.append({
-            "knob": "distribution",
-            "value": distribution,
-            "speedup": speedup(distribution=distribution),
-        })
-    records, _requests, _clients = SCALES[scale]
+        knobs.append(("distribution", distribution,
+                      {"distribution": distribution}))
     for db in (10, max(records // 2, 10), records * 10):
-        base = _base(scale)
-        rows.append({
-            "knob": "db_size",
-            "value": str(db),
-            "speedup": speedup(records=db) if db != base.records
-            else speedup(),
-        })
-    return rows
+        knobs.append(("db_size", str(db), {"records": db}))
+    speedups = run_ordered(_speedup, [
+        _base(scale, model=LIN_SYNCH, **overrides)
+        for _knob, _value, overrides in knobs])
+    return [{"knob": knob, "value": value, "speedup": speedup}
+            for (knob, value, _overrides), speedup in zip(knobs, speedups)]
 
 
 # ----------------------------------------------------------------------
 # Table I — protocol verification
 # ----------------------------------------------------------------------
 
+def _verify(point: Tuple) -> Dict[str, object]:
+    """One Table I row: model-check ``(offload, model, nodes)``."""
+    from repro.verify import ModelChecker, ProtocolSpec, WriteDef
+
+    offload, model, nodes = point
+    spec = ProtocolSpec(model=model, nodes=nodes,
+                        writes=(WriteDef(0), WriteDef(1)), offload=offload)
+    result = ModelChecker(spec).check()
+    return {
+        "arch": "MINOS-O" if offload else "MINOS-B",
+        "model": str(model),
+        "states": result.states,
+        "transitions": result.transitions,
+        "result": "PASS" if result.ok else "FAIL",
+    }
+
+
 def tab1(nodes: int = 2) -> List[Dict[str, object]]:
     """Model-check every ⟨consistency, persistency⟩ model for MINOS-B and
     MINOS-O against the Table I conditions.  Paper result: all pass."""
-    from repro.verify import ModelChecker, ProtocolSpec, WriteDef
-
-    rows = []
-    for offload in (False, True):
-        for model in ALL_MODELS:
-            spec = ProtocolSpec(model=model, nodes=nodes,
-                                writes=(WriteDef(0), WriteDef(1)),
-                                offload=offload)
-            result = ModelChecker(spec).check()
-            rows.append({
-                "arch": "MINOS-O" if offload else "MINOS-B",
-                "model": str(model),
-                "states": result.states,
-                "transitions": result.transitions,
-                "result": "PASS" if result.ok else "FAIL",
-            })
-    return rows
+    return run_ordered(_verify, [(offload, model, nodes)
+                                 for offload in (False, True)
+                                 for model in ALL_MODELS])

@@ -16,9 +16,10 @@ from typing import Dict, List, Optional
 from repro.cluster.cluster import MinosCluster
 from repro.core.config import MINOS_B, ProtocolConfig
 from repro.core.model import DDPModel, LIN_SYNCH
+from repro.errors import ConfigError
 from repro.hw.params import DEFAULT_MACHINE, MachineParams
 from repro.metrics.breakdown import Breakdown, write_breakdown
-from repro.metrics.stats import Metrics, Summary
+from repro.metrics.stats import LatencyRecorder, Metrics, Summary
 from repro.workloads.deathstar import CLIENT_RTT, MicroserviceFunction
 from repro.workloads.ycsb import OpKind, YcsbWorkload
 
@@ -152,7 +153,10 @@ def run_microservice(function: MicroserviceFunction,
                 driver(node.engine, rng),
                 name=f"ms.{function.application}.{node.node_id}.{client}"))
     sim.run()
-    from repro.metrics.stats import LatencyRecorder
+    unfinished = [p.name for p in processes if not p.triggered]
+    if unfinished:
+        raise ConfigError(f"microservice run deadlocked; unfinished "
+                          f"drivers: {unfinished}")
     recorder = LatencyRecorder()
     for value in latencies:
         recorder.add(value)

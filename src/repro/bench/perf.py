@@ -13,14 +13,6 @@ figures.  This module pins the hot path with three benchmarks:
 * ``macro_ycsb``     — a full default :class:`ExperimentConfig` run
   (5 nodes, zipfian YCSB, MINOS-B), the shape every figure is built
   from.  Events/sec here is the number that matters.
-* ``macro_sharded``  — the shard-scaling curve (see :mod:`repro.shard`):
-  at each shard count N, an N×5-node sharded deployment run through the
-  parallel executor versus one *single* 5N-node group executing the same
-  total client ops serially.  The paper's protocol fans every write out
-  to the whole group, so the monolithic group's event count grows with
-  group size while the sharded deployment's stays flat — the measured
-  ``speedup_<N>shards`` is the scale-out win sharding buys, and the
-  committed curve (BENCH_pr6.json) is the regression baseline for it.
 
 Each benchmark runs ``repeats`` times and reports the best run (the
 others absorb warm-up and scheduler noise).  Results serialize to the
@@ -55,8 +47,8 @@ class BenchResult:
     events: int
     events_per_sec: float
     repeats: int
-    #: Benchmark-specific extras (e.g. ``messages_per_sec``, or the
-    #: ``macro_sharded`` scaling curve) — anything JSON-serializable.
+    #: Benchmark-specific extras (e.g. ``messages_per_sec``) — anything
+    #: JSON-serializable.
     extra: Dict[str, object] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
@@ -169,85 +161,6 @@ def bench_macro_ycsb(config: Optional[ExperimentConfig] = None,
                        extra={"label": config.label()})
 
 
-def bench_macro_sharded(repeats: int = 3,
-                        shard_counts: Tuple[int, ...] = (1, 4, 8),
-                        nodes_per_shard: int = 5,
-                        records: int = 200,
-                        requests_per_client: int = 25,
-                        clients_per_node: int = 2,
-                        workers: Optional[int] = None) -> BenchResult:
-    """Shard-scaling: N×5-node sharded vs one 5N-node group, equal ops.
-
-    For every N in *shard_counts* two configurations execute the same
-    ``N * nodes_per_shard * clients_per_node * requests_per_client``
-    client operations:
-
-    * **sharded** — :func:`repro.shard.parallel.run_sharded` with
-      ``workers=N``: N independent 5-node groups, each write fanning
-      out to 4 followers, per-shard calendars in parallel workers.
-    * **single group** — one :class:`MinosCluster` of ``5N`` nodes:
-      every write fans out to ``5N - 1`` followers, one serial
-      calendar (the paper's §VII deployment shape, scaled up).
-
-    ``speedup_<N>shards`` is single-group wall over sharded wall.  The
-    headline ``wall_s`` / ``events_per_sec`` are the largest shard
-    count's sharded run — the configuration the other benchmarks don't
-    cover (multiprocess merge included).
-    """
-    from repro.cluster.cluster import MinosCluster
-    from repro.hw.params import DEFAULT_MACHINE
-    from repro.shard.parallel import ShardedRunConfig, run_sharded
-    from repro.workloads.ycsb import YcsbWorkload
-
-    curve: Dict[str, object] = {
-        "shard_counts": list(shard_counts),
-        "nodes_per_shard": nodes_per_shard,
-    }
-    headline: Optional[Tuple[float, int]] = None
-    for shards in shard_counts:
-        config = ShardedRunConfig(
-            shards=shards, nodes_per_shard=nodes_per_shard,
-            records=records, requests_per_client=requests_per_client,
-            clients_per_node=clients_per_node)
-
-        def sharded_once() -> Tuple[float, int]:
-            start = time.perf_counter()
-            result = run_sharded(
-                config, workers=shards if workers is None else workers)
-            return time.perf_counter() - start, result.events_processed
-
-        def single_group_once() -> Tuple[float, int]:
-            workload = YcsbWorkload(
-                records=records,
-                requests_per_client=requests_per_client,
-                seed=config.seed)
-            cluster = MinosCluster(
-                params=DEFAULT_MACHINE.with_nodes(
-                    shards * nodes_per_shard),
-                seed=config.seed)
-            start = time.perf_counter()
-            cluster.run_workload(workload,
-                                 clients_per_node=clients_per_node)
-            return time.perf_counter() - start, cluster.sim.events_processed
-
-        run_sharded(config, workers=1)  # warm-up (imports, allocator)
-        sharded_wall, sharded_events = _best_of(repeats, sharded_once)
-        single_wall, single_events = _best_of(repeats, single_group_once)
-        curve[f"sharded{shards}_wall_s"] = sharded_wall
-        curve[f"sharded{shards}_events"] = sharded_events
-        curve[f"single{shards * nodes_per_shard}nodes_wall_s"] = single_wall
-        curve[f"single{shards * nodes_per_shard}nodes_events"] = \
-            single_events
-        curve[f"speedup_{shards}shards"] = single_wall / sharded_wall
-        headline = (sharded_wall, sharded_events)
-
-    assert headline is not None
-    wall, events = headline
-    return BenchResult(name="macro_sharded", wall_s=wall, events=events,
-                       events_per_sec=events / wall, repeats=repeats,
-                       extra=curve)
-
-
 def bench_macro_ckpt(repeats: int = 3, watermark: int = 20) -> BenchResult:
     """Checkpoint overhead on the default YCSB macro.
 
@@ -285,30 +198,21 @@ _BENCHMARKS: Dict[str, Callable[..., BenchResult]] = {
     "micro_events": bench_micro_events,
     "micro_messages": bench_micro_messages,
     "macro_ycsb": bench_macro_ycsb,
-    "macro_sharded": bench_macro_sharded,
     "macro_ycsb_ckpt": bench_macro_ckpt,
 }
 
 #: Selection groups accepted by ``repro bench --only``.
 GROUPS = {
     "all": ("micro_events", "micro_messages", "macro_ycsb",
-            "macro_sharded", "macro_ycsb_ckpt"),
+            "macro_ycsb_ckpt"),
     "micro": ("micro_events", "micro_messages"),
-    "macro": ("macro_ycsb", "macro_sharded", "macro_ycsb_ckpt"),
-    "sharded": ("macro_sharded",),
+    "macro": ("macro_ycsb", "macro_ycsb_ckpt"),
     "ckpt": ("macro_ycsb_ckpt",),
 }
 
 
-def run_bench(only: str = "all", repeats: int = 3,
-              shard_counts: Optional[Tuple[int, ...]] = None,
-              shard_workers: Optional[int] = None) -> Dict[str, object]:
-    """Run the selected benchmarks; returns the BENCH_*.json payload.
-
-    *shard_counts* / *shard_workers* tune ``macro_sharded`` only (the
-    scaling-curve points and the worker-pool override); the committed
-    baselines use the defaults.
-    """
+def run_bench(only: str = "all", repeats: int = 3) -> Dict[str, object]:
+    """Run the selected benchmarks; returns the BENCH_*.json payload."""
     if only not in GROUPS:
         raise ValueError(f"unknown benchmark group {only!r} "
                          f"(choose from {sorted(GROUPS)})")
@@ -316,13 +220,7 @@ def run_bench(only: str = "all", repeats: int = 3,
 
     benchmarks: Dict[str, object] = {}
     for name in GROUPS[only]:
-        kwargs: Dict[str, object] = {"repeats": repeats}
-        if name == "macro_sharded":
-            if shard_counts:
-                kwargs["shard_counts"] = tuple(shard_counts)
-            if shard_workers is not None:
-                kwargs["workers"] = shard_workers
-        result = _BENCHMARKS[name](**kwargs)
+        result = _BENCHMARKS[name](repeats=repeats)
         benchmarks[name] = result.to_dict()
     return {
         "schema": SCHEMA,
@@ -378,12 +276,6 @@ def format_report(payload: Dict[str, object]) -> str:
         if "messages_per_sec" in result:
             lines.append(
                 f"  {'':15s} {result['messages_per_sec']:>12,.0f} messages/s")
-        for key in sorted(result):
-            if key.startswith("speedup_"):
-                label = key[len("speedup_"):].replace("shards", " shards")
-                lines.append(
-                    f"  {'':15s} {label:>12s}: "
-                    f"{result[key]:.2f}x vs single group")
     return "\n".join(lines)
 
 

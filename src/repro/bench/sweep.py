@@ -25,6 +25,7 @@ from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Mapping
 
 from repro.bench.harness import ExperimentConfig, run_experiment
+from repro.bench.pool import run_ordered
 from repro.core.config import ProtocolConfig, config_by_name
 from repro.core.model import DDPModel, model_by_name
 from repro.errors import ConfigError
@@ -78,10 +79,13 @@ class Sweep:
         return replace(config, machine=machine)
 
     def run(self) -> List[Dict[str, Any]]:
-        """Run every point; returns one flat result row per point."""
+        """Run every point (on the figure-sweep fork pool); returns one
+        flat result row per point, in :meth:`points` order."""
+        points = self.points()
+        results = run_ordered(run_experiment,
+                              [self.config_for(point) for point in points])
         rows = []
-        for point in self.points():
-            result = run_experiment(self.config_for(point))
+        for point, result in zip(points, results):
             row: Dict[str, Any] = {}
             for name, value in point.items():
                 if isinstance(value, (DDPModel, ProtocolConfig)):

@@ -22,11 +22,6 @@ from repro.check.history import (History, HistoryOp, HistoryRecorder,
                                  RecordingClient)
 from repro.check.runner import (CheckReport, Counterexample, RunOutcome,
                                 run_check)
-from repro.check.sharded import (ShardedCheckReport, check_scope_closure,
-                                 check_sharded_durability,
-                                 check_sharded_history,
-                                 check_sharded_linearizability,
-                                 keys_spanning_shards, shard_slices)
 from repro.check.shrink import shrink_history
 from repro.check.wgl import (KeyReport, LinearizabilityReport,
                              check_key_history, check_linearizability)
@@ -45,20 +40,13 @@ __all__ = [
     "LinearizabilityReport",
     "RecordingClient",
     "RunOutcome",
-    "ShardedCheckReport",
     "check_durability",
     "check_key_history",
     "check_rollback",
     "check_linearizability",
-    "check_scope_closure",
-    "check_sharded_durability",
-    "check_sharded_history",
-    "check_sharded_linearizability",
     "durability_floors",
-    "keys_spanning_shards",
     "post_recovery_read_violations",
     "restore_line",
     "run_check",
-    "shard_slices",
     "shrink_history",
 ]

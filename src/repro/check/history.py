@@ -27,20 +27,6 @@ from typing import Any, Dict, Iterator, List, Optional
 from repro.errors import ConfigError
 from repro.workloads.ycsb import Op, OpKind
 
-#: ``op_id`` namespace width per shard in *merged* sharded histories:
-#: :func:`repro.shard.merge.merge_histories` renumbers shard *k*'s ops
-#: into ``[k * SHARD_OP_STRIDE, (k+1) * SHARD_OP_STRIDE)``.  Lives here
-#: (not in :mod:`repro.shard`) because it is a property of histories —
-#: both the merge producer and the :mod:`repro.check.sharded` consumer
-#: key on it.
-SHARD_OP_STRIDE = 1_000_000
-
-
-def split_shard(op_id: int) -> int:
-    """The shard a merged-history ``op_id`` came from."""
-    return op_id // SHARD_OP_STRIDE
-
-
 @dataclass(slots=True)
 class HistoryOp:
     """One client operation as the client saw it.

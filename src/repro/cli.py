@@ -27,13 +27,8 @@ Commands:
 * ``profile``    — run a workload with the span recorder attached and
   print the per-protocol-phase latency breakdown.
 * ``sweep``      — cartesian parameter sweeps over experiment points.
-* ``shard``      — run a workload over a sharded deployment (N
-  independent protocol groups behind a consistent-hash ring, see
-  :mod:`repro.shard`) with the parallel shard executor;
-  ``--selfcheck`` reruns serially and compares merge fingerprints,
-  ``--check-history`` validates the merged history cross-shard.
 * ``bench``      — simulator performance benchmarks (events/sec,
-  messages/sec, macro YCSB wall-clock, shard-scaling curve); writes
+  messages/sec, macro YCSB wall-clock); writes
   ``BENCH_*.json`` and optionally gates against a recorded baseline
   (the CI perf-smoke job).
 * ``report``     — assemble benchmarks/results/*.txt into one report.
@@ -117,13 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser(
         "experiment", help="run one experiment point")
     _add_experiment_args(experiment)
-    experiment.add_argument(
-        "--shards", type=int, default=1,
-        help="split the deployment into N independent protocol groups "
-        "(>1 runs through repro.shard; --nodes is then per shard)")
-    experiment.add_argument(
-        "--workers", type=int, default=1,
-        help="parallel worker processes for a sharded experiment")
 
     figure = sub.add_parser("figure", help="regenerate a paper artifact")
     figure.add_argument("name", choices=sorted(FIGURE_NAMES))
@@ -272,56 +260,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        "fifo_entries)")
     _add_experiment_args(sweep, records=100, requests=40, clients=2)
 
-    shard = sub.add_parser(
-        "shard", help="run a workload over a sharded deployment "
-        "(N protocol groups behind a consistent-hash ring) with the "
-        "parallel shard executor")
-    shard.add_argument("--shards", type=int, default=4,
-                       help="number of independent protocol groups")
-    shard.add_argument("--workers", type=int, default=1,
-                       help="worker processes for the shard executor "
-                       "(1: run shards serially in-process; results "
-                       "are identical either way)")
-    shard.add_argument("--arch", default="MINOS-B",
-                       help="architecture preset (see `configs`)")
-    shard.add_argument("--model", default="synch",
-                       help="DDP model (see `models`)")
-    shard.add_argument("--nodes", type=int, default=5,
-                       help="nodes per shard (group size)")
-    shard.add_argument("--records", type=int, default=200)
-    shard.add_argument("--requests", type=int, default=80)
-    shard.add_argument("--clients", type=int, default=2)
-    shard.add_argument("--write-fraction", type=float, default=0.5)
-    shard.add_argument("--distribution", default="zipfian",
-                       choices=("zipfian", "uniform"))
-    shard.add_argument("--seed", type=int, default=42)
-    shard.add_argument("--persist-every", type=int, default=None,
-                       help="close the running scope after this many "
-                       "writes (⟨Lin, Scope⟩)")
-    shard.add_argument("--value-size", type=int, default=None,
-                       help="record payload bytes (default 1024)")
-    shard.add_argument("--selfcheck", action="store_true",
-                       help="run the shards twice (parallel and serial) "
-                       "and fail unless the merged results are "
-                       "byte-identical")
-    shard.add_argument("--check-history", action="store_true",
-                       help="record the merged client history and check "
-                       "per-key linearizability plus cross-shard scope "
-                       "closure")
-    shard.add_argument("--export", default=None, metavar="FILE",
-                       dest="export_path",
-                       help="write the merged Chrome trace-event JSON "
-                       "(per-shard process groups) here")
-    shard.add_argument("--json", action="store_true",
-                       help="emit the repro-shard/1 JSON payload")
-
     bench = sub.add_parser(
         "bench", help="simulator performance benchmarks "
-        "(events/sec, messages/sec, macro YCSB wall-clock, "
-        "shard-scaling curve)")
+        "(events/sec, messages/sec, macro YCSB wall-clock)")
     bench.add_argument("--only", default="all",
-                       choices=("all", "micro", "macro", "sharded",
-                                "ckpt"),
+                       choices=("all", "micro", "macro", "ckpt"),
                        help="which benchmark group to run")
     bench.add_argument("--repeats", type=int, default=3,
                        help="timed repetitions per benchmark (best wins)")
@@ -333,12 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--tolerance", type=float, default=2.0,
                        help="allowed slowdown factor for --check "
                        "(default 2.0)")
-    bench.add_argument("--shards", default=None, metavar="N[,N...]",
-                       help="shard counts for the macro_sharded curve "
-                       "(comma-separated, default 1,4,8)")
-    bench.add_argument("--workers", type=int, default=None,
-                       help="worker-pool size override for macro_sharded "
-                       "(default: one worker per shard)")
     bench.add_argument("--json", action="store_true",
                        help="print the payload as JSON instead of a table")
 
@@ -384,8 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.bench.harness import run_experiment
 
-    if args.shards > 1:
-        return _sharded_experiment(args)
     config = _experiment_config(args)
     result = run_experiment(config)
     if args.json:
@@ -404,48 +339,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     print(f"  write tput    : {result.write_throughput / 1e3:.1f} kops/s")
     print(f"  read  tput    : {result.read_throughput / 1e3:.1f} kops/s")
     print(f"  breakdown     : {result.breakdown}")
-    return 0
-
-
-def _sharded_experiment(args: argparse.Namespace) -> int:
-    """`experiment --shards N`: the same point on a sharded deployment.
-
-    Each of the N groups is an independent `--nodes`-node cluster; the
-    keyspace is consistent-hashed across them and each group runs the
-    full per-client request stream over its slice (scale-out shape —
-    see docs/sharding.md).  Shards execute on `--workers` processes.
-    """
-    from repro.shard.parallel import ShardedRunConfig, run_sharded
-
-    config = ShardedRunConfig(
-        shards=args.shards, model=args.model, arch=args.arch,
-        nodes_per_shard=args.nodes, records=args.records,
-        requests_per_client=args.requests,
-        clients_per_node=args.clients,
-        write_fraction=args.write_fraction,
-        distribution=args.distribution, seed=args.seed,
-        value_size=args.value_size)
-    result = run_sharded(config, workers=args.workers)
-    metrics = result.metrics
-    label = (f"{args.arch}/{args.model} shards={args.shards} "
-             f"nodes/shard={args.nodes} seed={args.seed}")
-    if args.json:
-        import json
-
-        payload = metrics.to_dict()
-        payload["experiment"] = label
-        payload["shards"] = args.shards
-        payload["workers"] = args.workers
-        payload["events_per_shard"] = result.per_shard_events
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(f"experiment: {label}")
-    print(f"  write latency : {metrics.write_latency.summary()}")
-    print(f"  read  latency : {metrics.read_latency.summary()}")
-    print(f"  write tput    : {metrics.write_throughput() / 1e3:.1f} kops/s")
-    print(f"  read  tput    : {metrics.read_throughput() / 1e3:.1f} kops/s")
-    print(f"  events        : {result.events_processed:,} across "
-          f"{args.shards} shards")
     return 0
 
 
@@ -835,127 +728,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_shard(args: argparse.Namespace) -> int:
-    from repro.shard.parallel import ShardedRunConfig, run_sharded
-
-    config = ShardedRunConfig(
-        shards=args.shards,
-        model=args.model,
-        arch=args.arch,
-        nodes_per_shard=args.nodes,
-        records=args.records,
-        requests_per_client=args.requests,
-        clients_per_node=args.clients,
-        write_fraction=args.write_fraction,
-        distribution=args.distribution,
-        seed=args.seed,
-        persist_every=args.persist_every,
-        value_size=args.value_size,
-        record_history=args.check_history or args.selfcheck,
-        record_trace=bool(args.export_path) or args.selfcheck,
-    )
-    result = run_sharded(config, workers=args.workers)
-    status = 0
-
-    selfcheck_ok = None
-    if args.selfcheck:
-        # Re-run with the *other* execution strategy; the merged output
-        # must be byte-identical (the executor's core contract).
-        other_workers = 1 if args.workers > 1 else min(2, config.shards)
-        reference = run_sharded(config, workers=other_workers)
-        selfcheck_ok = result.fingerprint() == reference.fingerprint()
-        if not selfcheck_ok:
-            status = 1
-
-    history_report = None
-    if args.check_history:
-        from repro.check.sharded import check_sharded_history
-        from repro.core.model import model_by_name
-        from repro.workloads.ycsb import record_key
-
-        initial = {record_key(i): f"init{i}"
-                   for i in range(config.records)}
-        history_report = check_sharded_history(
-            model_by_name(config.model), result.history, initial)
-        if not history_report.ok:
-            status = 1
-
-    if args.export_path and result.trace is not None:
-        import json as _json
-
-        from repro.obs import validate_chrome_trace
-
-        problems = validate_chrome_trace(result.trace)
-        for problem in problems:
-            print(f"TRACE INVALID: {problem}", file=sys.stderr)
-        if problems:
-            status = 1
-        with open(args.export_path, "w", encoding="utf-8") as handle:
-            _json.dump(result.trace, handle, indent=1)
-            handle.write("\n")
-
-    if args.json:
-        import json
-
-        payload = {
-            "schema": "repro-shard/1",
-            "shards": config.shards,
-            "workers": args.workers,
-            "model": config.model,
-            "arch": config.arch,
-            "nodes_per_shard": config.nodes_per_shard,
-            "seed": config.seed,
-            "fingerprint": result.fingerprint(),
-            "events_processed": result.events_processed,
-            "per_shard_events": result.per_shard_events,
-            "metrics": result.metrics.to_dict(),
-        }
-        if selfcheck_ok is not None:
-            payload["selfcheck_ok"] = selfcheck_ok
-        if history_report is not None:
-            payload["history_check"] = history_report.to_dict()
-        print(json.dumps(payload, indent=2))
-        return status
-
-    metrics = result.metrics
-    print(f"shard: {config.arch} {args.model} shards={config.shards} "
-          f"nodes/shard={config.nodes_per_shard} workers={args.workers} "
-          f"seed={config.seed}")
-    print(f"  events        : {result.events_processed:,} total "
-          f"{result.per_shard_events}")
-    print(f"  write latency : {metrics.write_latency.summary()}")
-    print(f"  read  latency : {metrics.read_latency.summary()}")
-    print(f"  write tput    : {metrics.write_throughput() / 1e3:.1f} "
-          "kops/s (slowest shard's clock)")
-    print(f"  fingerprint   : {result.fingerprint()[:16]}")
-    if selfcheck_ok is not None:
-        print("  selfcheck     : "
-              + ("serial == parallel" if selfcheck_ok
-                 else "MISMATCH between serial and parallel merges"))
-    if history_report is not None:
-        lin = history_report.linearizability
-        print(f"  history       : {len(result.history)} ops, "
-              f"{len(lin.keys)} keys, {lin.states} states — "
-              + ("ok" if history_report.ok else "VIOLATION"))
-        for violation in history_report.scope_closure.violations:
-            print(f"  VIOLATION: {violation}")
-        for key in lin.failing_keys:
-            print(f"  VIOLATION: key {key!r} not linearizable")
-    if args.export_path and result.trace is not None:
-        print(f"  wrote {args.export_path} "
-              f"({len(result.trace['traceEvents'])} trace events)")
-    return status
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import perf
 
-    shard_counts = None
-    if args.shards:
-        shard_counts = tuple(int(part) for part in args.shards.split(","))
-    payload = perf.run_bench(only=args.only, repeats=args.repeats,
-                             shard_counts=shard_counts,
-                             shard_workers=args.workers)
+    payload = perf.run_bench(only=args.only, repeats=args.repeats)
     if args.output:
         import json
 
@@ -1092,7 +868,6 @@ _COMMANDS = {
     "lint": _cmd_lint,
     "report": _cmd_report,
     "profile": _cmd_profile,
-    "shard": _cmd_shard,
     "sweep": _cmd_sweep,
     "verify": _cmd_verify,
     "trace": _cmd_trace,

@@ -82,8 +82,7 @@ class MinosCluster:
     seed:
         Root seed for cluster-internal randomness (today: the open-loop
         clients' arrival processes).  Two clusters built with different
-        roots draw disjoint streams even inside one process — the
-        sharded runner gives every shard its own root.
+        roots draw disjoint streams even inside one process.
     """
 
     def __init__(self, model: DDPModel = LIN_SYNCH,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 
 @dataclass
@@ -134,11 +134,9 @@ class Metrics:
         self.persist_latency = LatencyRecorder()
         self.counters = Counters()
         #: write_id -> (first INV deposit time, last needed ACK time).
-        #: Shard-merged metrics re-key both maps by (shard, write_id) —
-        #: see repro.shard.merge — so the key type is deliberately open.
-        self.comm_spans: Dict[Any, tuple] = {}
+        self.comm_spans: Dict[int, tuple] = {}
         #: write_id -> list of follower INV-handling durations (seconds).
-        self.follower_handling: Dict[Any, List[float]] = {}
+        self.follower_handling: Dict[int, List[float]] = {}
         #: Wall-clock (simulated) span of the measured phase.
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None

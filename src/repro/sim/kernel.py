@@ -77,8 +77,8 @@ class Simulator:
         self.timeout_pooling: bool = True
         # Transaction-id mints.  Per-simulator, not module-global: two
         # clusters in one process (or one forked into workers) must mint
-        # identical id sequences for identical runs — the sharded
-        # executor's serial ≡ parallel contract depends on it.
+        # identical id sequences for identical runs — the figure-sweep
+        # pool's serial ≡ pooled contract depends on it.
         self._next_write_id: int = 1
         self._next_persist_id: int = 1
         #: Optional ``(event, delay)`` callable invoked on every calendar

@@ -5,13 +5,6 @@ mix, zipfian (default) or uniform key popularity, 100 000 records, and
 100 000 requests per node.  :class:`YcsbWorkload` reproduces that request
 stream; the cluster harness feeds each client driver its own deterministic
 substream.
-
-For sharded runs (:mod:`repro.shard`) the workload accepts a
-``shard_filter`` predicate: keys failing it are *redrawn* from the
-popularity distribution rather than dropped, so every client still issues
-exactly ``requests_per_client`` operations — the property the equal-work
-shard-scaling benchmark depends on.  The per-shard key popularity is then
-the parent distribution conditioned on ownership.
 """
 
 from __future__ import annotations
@@ -19,14 +12,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.errors import ConfigError
 from repro.workloads.zipfian import make_generator
-
-#: Redraw budget for :class:`YcsbWorkload`'s ``shard_filter`` before
-#: concluding the filter owns (almost) nothing of the keyspace.
-_FILTER_MAX_ATTEMPTS = 10_000
 
 
 class OpKind(Enum):
@@ -68,8 +57,7 @@ class YcsbWorkload:
                  distribution: str = "zipfian", theta: float = 0.99,
                  seed: int = 42,
                  persist_every: Optional[int] = None,
-                 value_size: Optional[int] = None,
-                 shard_filter: Optional[Callable[[str], bool]] = None) -> None:
+                 value_size: Optional[int] = None) -> None:
         if records < 1:
             raise ConfigError("records must be >= 1")
         if not 0.0 <= write_fraction <= 1.0:
@@ -86,33 +74,11 @@ class YcsbWorkload:
         self.seed = seed
         self.persist_every = persist_every
         self.value_size = value_size
-        self.shard_filter = shard_filter
 
     def initial_records(self) -> Iterator[tuple[str, str]]:
-        """(key, value) pairs to pre-populate every replica with.
-
-        With a ``shard_filter`` only the owned slice of the table is
-        yielded — each shard's replicas hold each record exactly once
-        across the whole sharded deployment.
-        """
+        """(key, value) pairs to pre-populate every replica with."""
         for index in range(self.records):
-            key = record_key(index)
-            if self.shard_filter is not None and not self.shard_filter(key):
-                continue
-            yield key, f"init{index}"
-
-    def _next_key(self, keygen) -> str:
-        """Draw the next key, redrawing past keys the filter rejects."""
-        if self.shard_filter is None:
-            return record_key(keygen.next())
-        for _ in range(_FILTER_MAX_ATTEMPTS):
-            key = record_key(keygen.next())
-            if self.shard_filter(key):
-                return key
-        raise ConfigError(
-            f"shard_filter rejected {_FILTER_MAX_ATTEMPTS} consecutive "
-            "key draws; the filter owns too little of the keyspace "
-            "(records too small for the shard count?)")
+            yield record_key(index), f"init{index}"
 
     def ops_for(self, node_id: int, client_idx: int) -> Iterator[Op]:
         """The deterministic op stream of one client driver."""
@@ -122,7 +88,7 @@ class YcsbWorkload:
         scope = node_id * 1_000_000 + client_idx * 1_000
         writes_in_scope = 0
         for request in range(self.requests_per_client):
-            key = self._next_key(keygen)
+            key = record_key(keygen.next())
             if rng.random() < self.write_fraction:
                 value = f"n{node_id}c{client_idx}r{request}"
                 yield Op(OpKind.WRITE, key=key, value=value, scope=scope,

@@ -6,9 +6,8 @@ are drawn with probability proportional to ``1 / rank^theta``.  The
 ``zeta(n)`` normalization constant is memoized per ``(n, theta)`` because
 it costs O(n) to compute — through a *bounded* ``functools.lru_cache``,
 not a module-level dict: an unbounded module global is shared mutable
-state that outlives runs and is inherited by multiprocessing forks (the
-parallel shard executor in :mod:`repro.shard.parallel` forks workers),
-and the ``no-module-mutable-cache`` lint rule now forbids the pattern in
+state that outlives runs and is inherited by the forked workers that
+figure sweeps run on (:mod:`repro.bench.pool`), and the ``no-module-mutable-cache`` lint rule now forbids the pattern in
 ``repro/workloads``.  ``zeta`` is a pure function of its arguments, so
 the memo can never change a result — only its cost.
 

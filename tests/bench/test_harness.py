@@ -5,6 +5,8 @@ import pytest
 from repro import LIN_SYNCH, MINOS_B, MINOS_O, SOCIAL_LOGIN
 from repro.bench.harness import (ExperimentConfig, format_table,
                                  run_experiment, run_microservice)
+from repro.core.baseline.engine import BaselineEngine
+from repro.errors import ConfigError
 
 
 class TestRunExperiment:
@@ -38,6 +40,22 @@ class TestMicroservice:
                                    nodes=3, invocations_per_node=2)
         assert summary.count == 3 * 2
         assert summary.mean > 500e-6  # at least the client RTT
+
+    def test_stalled_driver_is_an_error(self, monkeypatch):
+        # Node 0's reads wait on an event nothing ever triggers: the run
+        # drains with that driver unfinished, which must not be reported
+        # as a latency over the drivers that did finish.
+        original = BaselineEngine.client_read
+
+        def stalled(self, key):
+            if self.node_id == 0:
+                yield self.sim.event("never")
+            return (yield from original(self, key))
+
+        monkeypatch.setattr(BaselineEngine, "client_read", stalled)
+        with pytest.raises(ConfigError, match="unfinished drivers"):
+            run_microservice(SOCIAL_LOGIN, LIN_SYNCH, MINOS_B,
+                             nodes=3, invocations_per_node=2)
 
 
 class TestFormatTable:
