@@ -104,7 +104,6 @@ _EXPORTS = {
     "OpResult": "repro.cluster.results",
     "Metrics": "repro.metrics.stats",
     "run_analysis": "repro.analysis",
-    "extract_protocol_graph": "repro.analysis.flow",
     # convenience re-exports beyond the facade
     "ClosedLoopClient": "repro.cluster",
     "Node": "repro.cluster",

@@ -5,8 +5,7 @@ The *function universe* of an architecture is the union of
 methods (``core/baseline/engine.py`` or ``core/offload/engine.py``),
 with the engine's definition winning on an override (``record_size``).
 
-Three edge kinds are extracted, each with the model-guard conjunction
-under which the site executes:
+Three edge kinds are extracted:
 
 * ``call``  — ``self.X(...)`` / ``yield from self.X(...)``
 * ``spawn`` — ``self.sim.spawn(self.X(...), ...)`` (a new process)
@@ -14,20 +13,16 @@ under which the site executes:
   (``watch_retransmits(txn, msg, self._resend)``,
   ``snic.start_drains(self._vfifo_apply, ...)``)
 
-Guards are the engines' declarative model tests — ``self.model.<prop>``
-policy properties and ``p is P.STRICT`` / ``p in (P.X, P.Y)``
-persistency comparisons — parsed into atoms the automaton layer
-evaluates concretely per DDP model.  Conditions the parser cannot
-classify (message contents, runtime state) contribute no atom: both
-branches keep the enclosing guard set, which over-approximates
-reachability, never under-approximates it.
+The graph is model-agnostic: an edge under ``if self.model.<prop>:`` is
+an edge, as is one under a runtime condition.  That over-approximates
+reachability for any single DDP model and never under-approximates it.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from repro.analysis.core import ModuleSource, Project, dotted_name
 
@@ -43,12 +38,6 @@ BASE_FILE = "repro/core/engine.py"
 #: The shared base class name.
 BASE_CLASS = "EngineBase"
 
-#: A guard atom: ``(kind, payload, polarity)`` where kind is ``"prop"``
-#: (payload: a DDPModel policy-property name) or ``"persistency"`` /
-#: ``"consistency"`` (payload: tuple of enum member names the value must
-#: be in).  ``polarity`` False negates the test.
-GuardAtom = Tuple[str, object, bool]
-
 
 @dataclass
 class FunctionInfo:
@@ -56,12 +45,10 @@ class FunctionInfo:
 
     name: str
     qualname: str                 #: ``Class.method``
-    arch: str
     path: str                     #: repo-relative path of the definition
     line: int
     node: ast.FunctionDef
     params: Tuple[str, ...]       #: positional params, ``self`` stripped
-    roles: Set[str] = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -72,11 +59,10 @@ class CallSite:
     callee: str
     kind: str                     #: ``"call"`` | ``"spawn"`` | ``"ref"``
     line: int
-    guards: Tuple[GuardAtom, ...]
 
 
-def _method_defs(module: ModuleSource,
-                 class_names: Sequence[str]) -> Iterator[ast.FunctionDef]:
+def _method_defs(module: ModuleSource, class_names: Sequence[str],
+                 ) -> Iterator[Tuple[str, ast.FunctionDef]]:
     for info in module.classes:
         if info.name in class_names:
             for stmt in info.node.body:
@@ -85,8 +71,8 @@ def _method_defs(module: ModuleSource,
 
 
 def engine_class_names(module: ModuleSource) -> List[str]:
-    """Engine classes defined in *module* (same heuristic as the
-    protocol rule: EngineBase subclasses or ``*Engine`` names)."""
+    """Engine classes defined in *module*: EngineBase subclasses or
+    ``*Engine`` names (the protocol rule's metadata scan uses it too)."""
     return [info.name for info in module.classes
             if BASE_CLASS in info.bases or info.name.endswith("Engine")]
 
@@ -107,276 +93,69 @@ def build_universe(project: Project, arch: str) -> Dict[str, FunctionInfo]:
                            if arg.arg != "self")
             universe[node.name] = FunctionInfo(
                 name=node.name, qualname=f"{class_name}.{node.name}",
-                arch=arch, path=module.rel, line=node.lineno, node=node,
+                path=module.rel, line=node.lineno, node=node,
                 params=params)
     return universe
 
 
-# ===========================================================================
-# Model-guard parsing
-# ===========================================================================
-
-def module_enum_aliases(module: ModuleSource) -> Dict[str, str]:
-    """Module-level enum aliases (``P = Persistency``)."""
-    aliases: Dict[str, str] = {}
-    for stmt in module.tree.body:
-        if (isinstance(stmt, ast.Assign)
-                and isinstance(stmt.value, ast.Name)
-                and stmt.value.id in ("Persistency", "Consistency")):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    aliases[target.id] = stmt.value.id
-    aliases.setdefault("Persistency", "Persistency")
-    aliases.setdefault("Consistency", "Consistency")
-    return aliases
-
-
-def _model_locals(func: ast.FunctionDef) -> Dict[str, str]:
-    """Local names bound to ``self.model.persistency`` /
-    ``self.model.consistency`` inside *func*."""
-    out: Dict[str, str] = {}
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign):
-            value = dotted_name(node.value)
-            if value in ("self.model.persistency", "self.model.consistency"):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        out[target.id] = value.rsplit(".", 1)[-1]
-    return out
-
-
-def _enum_member(node: ast.expr,
-                 aliases: Dict[str, str]) -> Optional[Tuple[str, str]]:
-    """``P.STRICT`` -> ("persistency", "STRICT")."""
-    if (isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)):
-        enum = aliases.get(node.value.id)
-        if enum == "Persistency":
-            return ("persistency", node.attr)
-        if enum == "Consistency":
-            return ("consistency", node.attr)
-    return None
-
-
-class GuardParser:
-    """Parse engine ``if`` tests into :data:`GuardAtom` or ``None``."""
-
-    def __init__(self, aliases: Dict[str, str],
-                 model_locals: Dict[str, str]) -> None:
-        self.aliases = aliases
-        self.model_locals = model_locals
-
-    def _subject(self, node: ast.expr) -> Optional[str]:
-        """Is *node* the persistency/consistency value under test?"""
-        dotted = dotted_name(node)
-        if dotted in ("self.model.persistency", "self.model.consistency"):
-            return dotted.rsplit(".", 1)[-1]
-        if isinstance(node, ast.Name):
-            return self.model_locals.get(node.id)
-        return None
-
-    def parse(self, test: ast.expr) -> Optional[GuardAtom]:
-        if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-            inner = self.parse(test.operand)
-            if inner is None:
-                return None
-            kind, payload, polarity = inner
-            return (kind, payload, not polarity)
-        dotted = dotted_name(test)
-        if dotted.startswith("self.model."):
-            prop = dotted[len("self.model."):]
-            if "." not in prop:
-                return ("prop", prop, True)
-        if isinstance(test, ast.Compare) and len(test.ops) == 1:
-            subject = self._subject(test.left)
-            if subject is None:
-                return None
-            op = test.ops[0]
-            comparator = test.comparators[0]
-            if isinstance(op, (ast.Is, ast.Eq, ast.IsNot, ast.NotEq)):
-                member = _enum_member(comparator, self.aliases)
-                if member is not None and member[0] == subject:
-                    polarity = isinstance(op, (ast.Is, ast.Eq))
-                    return (subject, (member[1],), polarity)
-            elif isinstance(op, (ast.In, ast.NotIn)):
-                if isinstance(comparator, (ast.Tuple, ast.List, ast.Set)):
-                    members = []
-                    for element in comparator.elts:
-                        member = _enum_member(element, self.aliases)
-                        if member is None or member[0] != subject:
-                            return None
-                        members.append(member[1])
-                    return (subject, tuple(members), isinstance(op, ast.In))
-        return None
-
-
-def eval_guards(guards: Sequence[GuardAtom],
-                facts: Optional[Dict[str, object]]) -> bool:
-    """Is the guard conjunction satisfiable under *facts*?
-
-    *facts* is a model-fact dict from the automaton layer
-    (``{"persistency": "STRICT", "consistency": "...", "props": {...}}``)
-    or ``None`` for the model-agnostic view (everything satisfiable).
-    Atoms over properties the facts don't know stay satisfiable.
-    """
-    if facts is None:
-        return True
-    for kind, payload, polarity in guards:
-        if kind == "prop":
-            value = facts.get("props", {}).get(payload)
-            if value is None:
-                continue
-            if bool(value) != polarity:
-                return False
-        elif kind in ("persistency", "consistency"):
-            value = facts.get(kind)
-            if value is None:
-                continue
-            if (value in payload) != polarity:
-                return False
-    return True
-
-
-# ===========================================================================
-# Guarded traversal + edge extraction
-# ===========================================================================
-
-def iter_guarded(body: Sequence[ast.stmt], guards: Tuple[GuardAtom, ...],
-                 parser: GuardParser,
-                 ) -> Iterator[Tuple[ast.stmt, Tuple[GuardAtom, ...]]]:
-    """Yield every *simple* statement with its guard conjunction.
-
-    Compound statements are recursed into; an unparseable ``if`` test
-    leaves the guards unchanged on both branches.  The test expression
-    itself is yielded (wrapped in an ``Expr``) so call sites inside
-    conditions are not missed.
-    """
-    for stmt in body:
-        if isinstance(stmt, ast.If):
-            atom = parser.parse(stmt.test)
-            probe = ast.Expr(value=stmt.test)
-            ast.copy_location(probe, stmt)
-            yield probe, guards
-            then_guards = guards + ((atom,) if atom else ())
-            yield from iter_guarded(stmt.body, then_guards, parser)
-            if atom is not None:
-                kind, payload, polarity = atom
-                else_guards = guards + ((kind, payload, not polarity),)
-            else:
-                else_guards = guards
-            yield from iter_guarded(stmt.orelse, else_guards, parser)
-        elif isinstance(stmt, (ast.For, ast.While, ast.With)):
-            # Yield only the header expressions (as located probes) so
-            # the body is not walked twice by callers using ast.walk.
-            if isinstance(stmt, ast.For):
-                headers: List[ast.expr] = [stmt.iter]
-            elif isinstance(stmt, ast.While):
-                headers = [stmt.test]
-            else:
-                headers = [item.context_expr for item in stmt.items]
-            for header in headers:
-                probe = ast.Expr(value=header)
-                ast.copy_location(probe, header)
-                yield probe, guards
-            yield from iter_guarded(stmt.body, guards, parser)
-            yield from iter_guarded(getattr(stmt, "orelse", []), guards,
-                                    parser)
-        elif isinstance(stmt, ast.Try):
-            yield from iter_guarded(stmt.body, guards, parser)
-            for handler in stmt.handlers:
-                yield from iter_guarded(handler.body, guards, parser)
-            yield from iter_guarded(stmt.orelse, guards, parser)
-            yield from iter_guarded(stmt.finalbody, guards, parser)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                               ast.ClassDef)):
-            continue  # nested scopes are separate functions
-        else:
-            yield stmt, guards
-
-
-def _iter_calls(stmt: ast.stmt) -> Iterator[ast.Call]:
-    for node in ast.walk(stmt):
+def own_calls(func: ast.FunctionDef) -> Iterator[ast.Call]:
+    """Every call in *func*'s body, nested def/class scopes excluded
+    (they are separate functions)."""
+    stack: List[ast.AST] = list(func.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            continue
         if isinstance(node, ast.Call):
             yield node
+        stack.extend(ast.iter_child_nodes(node))
 
 
-def extract_edges(universe: Dict[str, FunctionInfo],
-                  parser_for: Dict[str, GuardParser]) -> List[CallSite]:
+def is_spawn(func_name: str) -> bool:
+    """``sim.spawn(...)`` / ``self.sim.spawn(...)``."""
+    return func_name.endswith("sim.spawn")
+
+
+def extract_edges(universe: Dict[str, FunctionInfo]) -> List[CallSite]:
     """Every call / spawn / ref edge inside the universe."""
     edges: List[CallSite] = []
     for info in universe.values():
-        parser = parser_for[info.name]
-        for stmt, guards in iter_guarded(info.node.body, (), parser):
-            for call in _iter_calls(stmt):
-                func_name = dotted_name(call.func)
-                # spawn edges: sim.spawn(self.X(...)) / self.sim.spawn(...)
-                if func_name.endswith("sim.spawn") or func_name == "sim.spawn":
-                    for arg in call.args:
-                        if (isinstance(arg, ast.Call)
-                                and dotted_name(arg.func).startswith("self.")):
-                            callee = dotted_name(arg.func)[len("self."):]
-                            if callee in universe:
-                                edges.append(CallSite(
-                                    caller=info.name, callee=callee,
-                                    kind="spawn", line=call.lineno,
-                                    guards=guards))
-                    continue
-                # plain self-calls
-                if func_name.startswith("self."):
-                    callee = func_name[len("self."):]
-                    if callee in universe:
-                        edges.append(CallSite(
-                            caller=info.name, callee=callee, kind="call",
-                            line=call.lineno, guards=guards))
-                # callback refs passed as arguments
+        for call in own_calls(info.node):
+            func_name = dotted_name(call.func)
+            if is_spawn(func_name):
                 for arg in call.args:
-                    if isinstance(arg, ast.Attribute) and not isinstance(
-                            arg.ctx, ast.Store):
-                        ref = dotted_name(arg)
-                        if ref.startswith("self."):
-                            callee = ref[len("self."):]
-                            if callee in universe:
-                                edges.append(CallSite(
-                                    caller=info.name, callee=callee,
-                                    kind="ref", line=call.lineno,
-                                    guards=guards))
+                    if (isinstance(arg, ast.Call)
+                            and dotted_name(arg.func).startswith("self.")):
+                        callee = dotted_name(arg.func)[len("self."):]
+                        if callee in universe:
+                            edges.append(CallSite(
+                                caller=info.name, callee=callee,
+                                kind="spawn", line=call.lineno))
+                continue
+            if func_name.startswith("self."):
+                callee = func_name[len("self."):]
+                if callee in universe:
+                    edges.append(CallSite(
+                        caller=info.name, callee=callee, kind="call",
+                        line=call.lineno))
+            for arg in call.args:
+                if isinstance(arg, ast.Attribute) and not isinstance(
+                        arg.ctx, ast.Store):
+                    ref = dotted_name(arg)
+                    if ref.startswith("self."):
+                        callee = ref[len("self."):]
+                        if callee in universe:
+                            edges.append(CallSite(
+                                caller=info.name, callee=callee,
+                                kind="ref", line=call.lineno))
     return edges
 
 
-def build_callgraph(project: Project, arch: str) -> Tuple[
-        Dict[str, FunctionInfo], List[CallSite], Dict[str, GuardParser]]:
-    """Universe + guarded edges for one architecture.
-
-    Returns ``(universe, edges, parser_for)`` — the parsers are reused
-    by the send extractor so both layers agree on guard semantics.
-    """
-    universe = build_universe(project, arch)
-    engine_module = project.module(ARCH_FILES[arch])
-    base_module = project.module(BASE_FILE)
-    alias_of = {}
-    for module in (engine_module, base_module):
-        if module is not None:
-            alias_of[module.rel] = module_enum_aliases(module)
-    parser_for: Dict[str, GuardParser] = {}
-    for info in universe.values():
-        aliases = alias_of.get(info.path, {"Persistency": "Persistency",
-                                           "Consistency": "Consistency"})
-        parser_for[info.name] = GuardParser(aliases,
-                                            _model_locals(info.node))
-    edges = extract_edges(universe, parser_for)
-    return universe, edges, parser_for
-
-
-def successors(edges: Sequence[CallSite],
-               facts: Optional[Dict[str, object]] = None,
-               kinds: Optional[Set[str]] = None) -> Dict[str, Set[str]]:
-    """Adjacency map of the guard-filtered graph."""
+def successors(edges: Sequence[CallSite]) -> Dict[str, Set[str]]:
+    """Adjacency map of the graph."""
     out: Dict[str, Set[str]] = {}
     for edge in edges:
-        if kinds is not None and edge.kind not in kinds:
-            continue
-        if not eval_guards(edge.guards, facts):
-            continue
         out.setdefault(edge.caller, set()).add(edge.callee)
     return out
 

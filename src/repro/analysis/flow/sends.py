@@ -2,17 +2,16 @@
 
 **Send sites.**  Every NIC/port send primitive is mapped to a channel:
 
-==========================  ====================  ======  ========
-primitive                   channel               sender  receiver
-==========================  ====================  ======  ========
-``nic.host_deposit``        ``net``               host    host
-``snic.host_deposit``       ``pcie_host_to_snic`` host    snic
-``snic.send_multi``         ``net``               snic    snic
-``snic.send_message``       ``net``               snic    snic
-``snic.send_to_host``       ``pcie_snic_to_host`` snic    host
-==========================  ====================  ======  ========
+==========================  ====================
+primitive                   channel
+==========================  ====================
+``nic.host_deposit``        ``net``
+``snic.host_deposit``       ``pcie_host_to_snic``
+``snic.send_multi``         ``net``
+``snic.send_message``       ``net``
+``snic.send_to_host``       ``pcie_snic_to_host``
+==========================  ====================
 
-(the ``net`` channel's receiver is the *peer* node's symmetric role).
 The message expression at each site is resolved to a set of ``MsgType``
 members by an abstract type-set: ``MsgType.X`` literals,
 ``Message(type=...)`` constructions, ``self.stamp(...)`` pass-through,
@@ -20,7 +19,7 @@ members by an abstract type-set: ``MsgType.X`` literals,
 parameters.  A project-wide fixpoint then flows call-site argument sets
 (and receive-side dispatch constraints) into those parameters, so
 ``_deposit_vals``'s ``type`` parameter resolves to exactly the VAL
-variants its callers pass, each tagged with the caller's model guards.
+variants its callers pass.
 
 **Dispatch tables.**  Receive loops are recognised by their
 ``yield self.<port>.get()`` pattern and the message variable is chased
@@ -28,34 +27,31 @@ through ``packet.payload`` unwrapping.  The handler chain is then walked
 with a msg-type constraint set: ``msg.type.is_ack`` group tests (parsed
 from the ``messages.py`` member loop, not hardcoded), ``is MsgType.X``
 and ``in (MsgType.A, ...)`` comparisons, with ``elif`` complements.  A
-``raise`` whose path is type-constrained rejects its residual set; a
-dispatcher with no else-raise (the offload host loop) is tolerant and
-accepts everything not explicitly rejected.
+``raise`` whose path is type-constrained (and under no other test)
+rejects its residual set; a dispatcher with no else-raise (the offload
+host loop) is tolerant and accepts everything not explicitly rejected.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.core import ModuleSource, Project, dotted_name
-from repro.analysis.flow.callgraph import (ARCH_FILES, CallSite,
-                                           FunctionInfo, GuardAtom,
-                                           GuardParser, eval_guards,
-                                           iter_guarded)
+from repro.analysis.core import Project, dotted_name
+from repro.analysis.flow.callgraph import FunctionInfo, is_spawn, own_calls
 
 #: messages.py (parsed for the MsgType vocabulary and its groups).
 MESSAGES_FILE = "repro/core/messages.py"
 
-#: Send primitive -> (channel, sender role, receiver role), keyed by the
-#: trailing ``<obj>.<method>`` of the dotted call name.
+#: Send primitive -> channel, keyed by the trailing ``<obj>.<method>``
+#: of the dotted call name.
 PRIMITIVES = {
-    ("nic", "host_deposit"): ("net", "host", "host"),
-    ("snic", "host_deposit"): ("pcie_host_to_snic", "host", "snic"),
-    ("snic", "send_multi"): ("net", "snic", "snic"),
-    ("snic", "send_message"): ("net", "snic", "snic"),
-    ("snic", "send_to_host"): ("pcie_snic_to_host", "snic", "host"),
+    ("nic", "host_deposit"): "net",
+    ("snic", "host_deposit"): "pcie_host_to_snic",
+    ("snic", "send_multi"): "net",
+    ("snic", "send_message"): "net",
+    ("snic", "send_to_host"): "pcie_snic_to_host",
 }
 
 #: Receive port (dotted, after ``self.``) -> channel, per architecture.
@@ -67,7 +63,8 @@ RECEIVE_PORTS = {
 }
 
 #: Message-argument position per send primitive method name.
-_MSG_ARG = {"send_multi": 1, "send_message": 1, "send_to_host": 0}
+_MSG_ARG = {"host_deposit": 0, "send_multi": 1, "send_message": 1,
+            "send_to_host": 0}
 
 
 # ===========================================================================
@@ -80,13 +77,12 @@ class MsgVocabulary:
 
     members: Tuple[str, ...]
     groups: Dict[str, FrozenSet[str]]
-    network_legal: FrozenSet[str]
 
 
 def load_vocabulary(project: Project) -> MsgVocabulary:
     module = project.module(MESSAGES_FILE)
     if module is None:
-        return MsgVocabulary((), {}, frozenset())
+        return MsgVocabulary((), {})
     members: List[str] = []
     for info in module.classes:
         if info.name == "MsgType":
@@ -110,18 +106,8 @@ def load_vocabulary(project: Project) -> MsgVocabulary:
                      if isinstance(element, ast.Constant)}
             if names <= set(members):
                 groups.setdefault(target.attr, set()).update(names)
-    network_legal: Set[str] = set()
-    for node in ast.walk(module.tree):
-        if (isinstance(node, ast.Assign)
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id == "NETWORK_LEGAL"):
-            for sub in ast.walk(node.value):
-                name = dotted_name(sub)
-                if name.startswith("MsgType."):
-                    network_legal.add(name.split(".", 1)[1])
     return MsgVocabulary(tuple(members),
-                         {k: frozenset(v) for k, v in groups.items()},
-                         frozenset(network_legal))
+                         {k: frozenset(v) for k, v in groups.items()})
 
 
 # ===========================================================================
@@ -224,61 +210,33 @@ def _function_env(info: FunctionInfo) -> Dict[str, TypeSet]:
 # Send sites
 # ===========================================================================
 
-@dataclass
+@dataclass(frozen=True)
 class SendSite:
     """One message-send call site."""
 
     function: str
     line: int
     channel: str
-    sender_role: str
-    receiver_role: str
-    primitive: str
     types: TypeSet
-    guards: Tuple[GuardAtom, ...]
-
-
-def _classify_primitive(func_name: str) -> Optional[Tuple[str, str, str, str]]:
-    parts = func_name.split(".")
-    if len(parts) < 2:
-        return None
-    key = (parts[-2], parts[-1])
-    mapped = PRIMITIVES.get(key)
-    if mapped is None:
-        return None
-    return (*mapped, parts[-1])
 
 
 def extract_sends(universe: Dict[str, FunctionInfo],
-                  parser_for: Dict[str, GuardParser],
                   arch: str) -> List[SendSite]:
     sites: List[SendSite] = []
     for info in universe.values():
-        env = _function_env(info)
-        resolver = TypeResolver(info, env)
-        parser = parser_for[info.name]
-        for stmt, guards in iter_guarded(info.node.body, (), parser):
-            for call in ast.walk(stmt):
-                if not isinstance(call, ast.Call):
-                    continue
-                classified = _classify_primitive(dotted_name(call.func))
-                if classified is None:
-                    continue
-                channel, sender, receiver, method = classified
-                if arch == "baseline" and channel != "net":
-                    continue  # baseline has no SNIC primitives
-                if method == "host_deposit":
-                    types = (resolver.resolve(call.args[0])
-                             if call.args else UNKNOWN)
-                else:
-                    index = _MSG_ARG[method]
-                    types = (resolver.resolve(call.args[index])
-                             if len(call.args) > index else UNKNOWN)
-                sites.append(SendSite(
-                    function=info.name, line=call.lineno, channel=channel,
-                    sender_role=sender if arch == "offload" else "host",
-                    receiver_role=receiver if arch == "offload" else "host",
-                    primitive=method, types=types, guards=guards))
+        resolver = TypeResolver(info, _function_env(info))
+        for call in own_calls(info.node):
+            parts = dotted_name(call.func).split(".")
+            channel = PRIMITIVES.get(tuple(parts[-2:]))
+            if channel is None:
+                continue
+            if arch == "baseline" and channel != "net":
+                continue  # baseline has no SNIC primitives
+            index = _MSG_ARG[parts[-1]]
+            types = (resolver.resolve(call.args[index])
+                     if len(call.args) > index else UNKNOWN)
+            sites.append(SendSite(function=info.name, line=call.lineno,
+                                  channel=channel, types=types))
     return sites
 
 
@@ -298,7 +256,6 @@ class Binding:
 
     param: ParamRef
     value: TypeSet
-    guards: Tuple[GuardAtom, ...]
     passthrough: bool = False
 
 
@@ -308,77 +265,67 @@ class Binding:
 CALLBACK_REGISTRARS = {"watch_retransmits": (1, 2)}
 
 
-def extract_bindings(universe: Dict[str, FunctionInfo],
-                     parser_for: Dict[str, GuardParser]) -> List[Binding]:
+def extract_bindings(universe: Dict[str, FunctionInfo]) -> List[Binding]:
     bindings: List[Binding] = []
     for info in universe.values():
-        env = _function_env(info)
-        resolver = TypeResolver(info, env)
-        parser = parser_for[info.name]
-        for stmt, guards in iter_guarded(info.node.body, (), parser):
-            for call in ast.walk(stmt):
-                if not isinstance(call, ast.Call):
-                    continue
-                func_name = dotted_name(call.func)
-                target: Optional[ast.Call] = None
-                if func_name.startswith("self."):
-                    callee_name = func_name[len("self."):]
-                    target = call
-                elif (func_name.endswith("sim.spawn")
-                        or func_name == "sim.spawn"):
-                    inner = call.args[0] if call.args else None
-                    if (isinstance(inner, ast.Call)
-                            and dotted_name(inner.func).startswith("self.")):
-                        callee_name = dotted_name(inner.func)[len("self."):]
-                        target = inner
-                    else:
-                        continue
+        resolver = TypeResolver(info, _function_env(info))
+        for call in own_calls(info.node):
+            func_name = dotted_name(call.func)
+            target: Optional[ast.Call] = None
+            if func_name.startswith("self."):
+                callee_name = func_name[len("self."):]
+                target = call
+            elif is_spawn(func_name):
+                inner = call.args[0] if call.args else None
+                if (isinstance(inner, ast.Call)
+                        and dotted_name(inner.func).startswith("self.")):
+                    callee_name = dotted_name(inner.func)[len("self."):]
+                    target = inner
                 else:
                     continue
-                callee = universe.get(callee_name)
-                if callee is None:
+            else:
+                continue
+            callee = universe.get(callee_name)
+            if callee is None:
+                continue
+            # Callback registrar: flow the msg arg into the callback.
+            registrar = CALLBACK_REGISTRARS.get(callee_name)
+            if registrar is not None:
+                msg_index, cb_index = registrar
+                if len(target.args) > max(msg_index, cb_index):
+                    cb = dotted_name(target.args[cb_index])
+                    if cb.startswith("self."):
+                        cb_info = universe.get(cb[len("self."):])
+                        if cb_info is not None and cb_info.params:
+                            bindings.append(Binding(
+                                param=(cb_info.name, cb_info.params[0]),
+                                value=resolver.resolve(
+                                    target.args[msg_index])))
+            # Positional + keyword argument binding.  Pure-unknown values
+            # are skipped (no member information — they would only wash
+            # out the dispatch constraints for the same parameter); bare
+            # caller-parameter forwards are kept but tagged for
+            # :func:`prune_bindings`.
+            for index, arg in enumerate(target.args):
+                if index >= len(callee.params):
                     continue
-                # Callback registrar: flow the msg arg into the callback.
-                registrar = CALLBACK_REGISTRARS.get(callee_name)
-                if registrar is not None:
-                    msg_index, cb_index = registrar
-                    if len(target.args) > max(msg_index, cb_index):
-                        cb = dotted_name(target.args[cb_index])
-                        if cb.startswith("self."):
-                            cb_info = universe.get(cb[len("self."):])
-                            if cb_info is not None and cb_info.params:
-                                bindings.append(Binding(
-                                    param=(cb_info.name, cb_info.params[0]),
-                                    value=resolver.resolve(
-                                        target.args[msg_index]),
-                                    guards=guards))
-                # Positional + keyword argument binding.  Pure-unknown
-                # values are skipped (no member information — they would
-                # only wash out the dispatch constraints for the same
-                # parameter); bare caller-parameter forwards are kept
-                # but tagged for :func:`prune_bindings`.
-                for index, arg in enumerate(target.args):
-                    if index >= len(callee.params):
-                        continue
-                    value = resolver.resolve(arg)
-                    if value == UNKNOWN:
-                        continue
-                    bindings.append(Binding(
-                        param=(callee_name, callee.params[index]),
-                        value=value, guards=guards,
-                        passthrough=(isinstance(arg, ast.Name)
-                                     and arg.id in info.params)))
-                for keyword in target.keywords:
-                    if keyword.arg not in callee.params:
-                        continue
-                    value = resolver.resolve(keyword.value)
-                    if value == UNKNOWN:
-                        continue
-                    bindings.append(Binding(
-                        param=(callee_name, keyword.arg), value=value,
-                        guards=guards,
-                        passthrough=(isinstance(keyword.value, ast.Name)
-                                     and keyword.value.id in info.params)))
+                value = resolver.resolve(arg)
+                if value == UNKNOWN:
+                    continue
+                bindings.append(Binding(
+                    param=(callee_name, callee.params[index]), value=value,
+                    passthrough=(isinstance(arg, ast.Name)
+                                 and arg.id in info.params)))
+            for keyword in target.keywords:
+                if keyword.arg not in callee.params:
+                    continue
+                value = resolver.resolve(keyword.value)
+                if value == UNKNOWN:
+                    continue
+                bindings.append(Binding(
+                    param=(callee_name, keyword.arg), value=value,
+                    passthrough=(isinstance(keyword.value, ast.Name)
+                                 and keyword.value.id in info.params)))
     return bindings
 
 
@@ -396,15 +343,10 @@ def prune_bindings(call_bindings: Sequence[Binding],
     return kept
 
 
-def solve_params(bindings: Sequence[Binding],
-                 facts: Optional[Dict[str, object]] = None,
-                 ) -> Dict[ParamRef, TypeSet]:
-    """Fixpoint: each parameter's concrete member set under *facts*
-    (guard-filtered; ``None`` facts keeps every binding)."""
+def solve_params(bindings: Sequence[Binding]) -> Dict[ParamRef, TypeSet]:
+    """Fixpoint: each parameter's concrete member set."""
     incoming: Dict[ParamRef, List[TypeSet]] = {}
     for binding in bindings:
-        if not eval_guards(binding.guards, facts):
-            continue
         incoming.setdefault(binding.param, []).append(binding.value)
     solution: Dict[ParamRef, TypeSet] = {param: EMPTY for param in incoming}
     changed = True
@@ -510,14 +452,10 @@ class _DispatchWalker:
     """Constraint-set walk over a handler chain."""
 
     def __init__(self, universe: Dict[str, FunctionInfo],
-                 vocabulary: MsgVocabulary, table: DispatchTable,
-                 facts: Optional[Dict[str, object]],
-                 parser_for: Dict[str, GuardParser]) -> None:
+                 vocabulary: MsgVocabulary, table: DispatchTable) -> None:
         self.universe = universe
         self.vocabulary = vocabulary
         self.table = table
-        self.facts = facts
-        self.parser_for = parser_for
         self.visited: Set[Tuple[str, FrozenSet[str]]] = set()
 
     def _type_test(self, test: ast.expr,
@@ -567,7 +505,6 @@ class _DispatchWalker:
     def _walk_body(self, info: FunctionInfo, body: Sequence[ast.stmt],
                    msg_vars: Set[str], constraint: FrozenSet[str],
                    has_unknown: bool, tested: bool, depth: int) -> None:
-        parser = self.parser_for.get(info.name)
         for stmt in body:
             if isinstance(stmt, ast.If):
                 admitted = self._type_test(stmt.test, msg_vars)
@@ -581,26 +518,12 @@ class _DispatchWalker:
                         self._walk_body(info, stmt.orelse, msg_vars,
                                         else_set, has_unknown, True, depth)
                     continue
-                atom = parser.parse(stmt.test) if parser else None
-                if atom is not None and self.facts is not None:
-                    taken = eval_guards((atom,), self.facts)
-                    kind, payload, polarity = atom
-                    inverse = eval_guards(((kind, payload, not polarity),),
-                                          self.facts)
-                    if taken:
-                        self._walk_body(info, stmt.body, msg_vars,
-                                        constraint, has_unknown, tested,
-                                        depth)
-                    if inverse:
-                        self._walk_body(info, stmt.orelse, msg_vars,
-                                        constraint, has_unknown, tested,
-                                        depth)
-                    continue
-                branch_unknown = has_unknown or atom is None
+                # Any other test (runtime state or the DDP model) makes
+                # a raise below it conditional, so not a rejection.
                 self._walk_body(info, stmt.body, msg_vars, constraint,
-                                branch_unknown, tested, depth)
+                                True, tested, depth)
                 self._walk_body(info, stmt.orelse, msg_vars, constraint,
-                                branch_unknown, tested, depth)
+                                True, tested, depth)
             elif isinstance(stmt, (ast.For, ast.While, ast.With)):
                 headers: List[ast.expr] = []
                 if isinstance(stmt, ast.For):
@@ -640,7 +563,7 @@ class _DispatchWalker:
                 continue
             func_name = dotted_name(call.func)
             target = call
-            if func_name.endswith("sim.spawn") or func_name == "sim.spawn":
+            if is_spawn(func_name):
                 inner = call.args[0] if call.args else None
                 if (isinstance(inner, ast.Call)
                         and dotted_name(inner.func).startswith("self.")):
@@ -667,24 +590,21 @@ class _DispatchWalker:
             for param in passed:
                 self.table.bindings.append(Binding(
                     param=(callee_name, param),
-                    value=TypeSet(literals=constraint), guards=()))
+                    value=TypeSet(literals=constraint)))
             self.walk(callee_name, set(passed), constraint, False, True,
                       depth + 1)
 
 
 def extract_dispatch(universe: Dict[str, FunctionInfo],
-                     parser_for: Dict[str, GuardParser],
-                     vocabulary: MsgVocabulary, arch: str,
-                     facts: Optional[Dict[str, object]] = None,
-                     ) -> Dict[str, DispatchTable]:
+                     vocabulary: MsgVocabulary,
+                     arch: str) -> Dict[str, DispatchTable]:
     """Per-channel dispatch tables for one architecture."""
     tables: Dict[str, DispatchTable] = {}
     all_types = frozenset(vocabulary.members)
     for channel, loop_name in sorted(_receive_loops(universe, arch).items()):
         table = DispatchTable(channel=channel, loop=loop_name)
         info = universe[loop_name]
-        walker = _DispatchWalker(universe, vocabulary, table, facts,
-                                 parser_for)
+        walker = _DispatchWalker(universe, vocabulary, table)
         walker.walk(loop_name, _message_vars(info), all_types, False,
                     False)
         table.accepted = set(all_types) - table.rejected

@@ -1,9 +1,9 @@
 """Interprocedural protocol-flow rules (backed by ``analysis.flow``).
 
-These rules consume the shared :class:`~repro.analysis.flow.automaton.
+These rules consume the shared :class:`~repro.analysis.flow.graph.
 FlowGraph` (built once per run via ``project.shared``) and check the
-*graph* the engine handlers form, where the per-function rules in
-:mod:`~repro.analysis.rules.protocol` see one handler at a time:
+*graph* the engine handlers form, over the per-handler metadata facts
+:func:`~repro.analysis.rules.protocol.engine_handlers` extracts:
 
 * **flow-unhandled-message** — a send site emits a msg_type the
   receiving channel's dispatch chain rejects (it would raise
@@ -16,16 +16,11 @@ FlowGraph` (built once per run via ``project.shared``) and check the
 * **flow-durable-order** — a ``set_glb_durable`` advance is reachable
   from a client entry point on a path with no durability witness (NVM
   log append / ACK_P-family event wait / VAL-family dispatch test) in
-  *any* function along the way.  Supersedes the intraprocedural
-  ``meta-durable-without-log`` (now a non-gating warning), whose
-  single-function view had to accept any handler that merely *could*
-  append to the log.
-* **flow-meta-race** — an unmediated raw metadata access conflicts with
-  another handler's access to the same field and the two handlers are
-  not ordered by happens-before (program order + message edges) in the
-  combined flow digraph.  Supersedes the intraprocedural ``meta-race``
-  pairing (now a non-gating warning), which could not see ordering
-  through message delivery.
+  *any* function along the way.
+* **flow-meta-race** — an unmediated raw metadata access (outside the
+  WRLock and the FIFO drains) conflicts with another handler's access
+  to the same field and the two handlers are not ordered by
+  :func:`happens_before` (program order + message edges).
 """
 
 from __future__ import annotations
@@ -34,14 +29,16 @@ import ast
 from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.analysis.core import Project, Rule, rule
-from repro.analysis.flow.automaton import FlowGraph, build_flow
-from repro.analysis.flow.callgraph import reachable_from, successors
-from repro.analysis.flow.explore import (ENTRY_POINTS, happens_before,
-                                         ordered)
-from repro.analysis.flow.sends import concrete_types, solve_params
+from repro.analysis.flow.callgraph import (ARCH_FILES, reachable_from,
+                                           successors)
+from repro.analysis.flow.graph import ArchFlow, FlowGraph, build_flow
 from repro.analysis.report import Finding
-from repro.analysis.rules.protocol import (LOG_APPEND_METHODS,
-                                           _scan_engine)
+from repro.analysis.rules.protocol import LOG_APPEND_METHODS, engine_handlers
+
+#: Client API + engine setup: the roots of every protocol path (the
+#: receive loops are spawned from ``__init__``).
+ENTRY_POINTS = ("__init__", "client_write", "client_read",
+                "client_persist", "_client_write_eventual")
 
 #: Event attributes whose ``yield`` marks an ack-wait coordinator phase.
 ACK_WAIT_EVENTS = ("all_acks", "all_ack_cs", "all_ack_ps")
@@ -52,6 +49,30 @@ TIMER_REGISTRAR = "watch_retransmits"
 
 def _flow(project: Project) -> FlowGraph:
     return project.shared("flow", build_flow)
+
+
+def happens_before(arch_flow: ArchFlow) -> Dict[str, Set[str]]:
+    """Per-function reachability in the combined program + message
+    order digraph (each function maps to everything it reaches,
+    itself included).  A send site orders its function before the
+    receiving channel's loop and every handler its types route to."""
+    adjacency = successors(arch_flow.edges)
+    for site in arch_flow.sends:
+        table = arch_flow.dispatch.get(site.channel)
+        if table is None:
+            continue
+        edge_set = adjacency.setdefault(site.function, set())
+        for msg_type in site.types.literals:
+            edge_set.add(table.loop)
+            edge_set.update(table.handlers.get(msg_type, ()))
+    return {name: reachable_from([name], adjacency)
+            for name in arch_flow.universe}
+
+
+def _ordered(closure: Dict[str, Set[str]], first: str, second: str) -> bool:
+    """Whether *first* and *second* are happens-before comparable."""
+    return (second in closure.get(first, ())
+            or first in closure.get(second, ()))
 
 
 def _ack_wait_lines(node: ast.FunctionDef) -> List[Tuple[str, int]]:
@@ -76,12 +97,10 @@ class FlowUnhandledMessageRule(Rule):
         flow = _flow(project)
         for arch in sorted(flow.arches):
             arch_flow = flow.arches[arch]
-            solution = solve_params(arch_flow.bindings, facts=None)
             for site in arch_flow.sends:
-                resolved = concrete_types(site.types, solution)
                 table = arch_flow.dispatch.get(site.channel)
                 info = arch_flow.universe[site.function]
-                for msg_type in sorted(resolved.literals):
+                for msg_type in sorted(site.types.literals):
                     if table is not None and msg_type in table.accepted:
                         continue
                     receiver = (table.loop if table is not None
@@ -109,7 +128,6 @@ class FlowUnhandledMessageRule(Rule):
                         arch_flow.dispatch.items())
                 },
             }
-        summary["models"] = [m.name for m in flow.models]
         return {"protocol_flow": summary}
 
 
@@ -149,10 +167,7 @@ class FlowDurableOrderRule(Rule):
         flow = _flow(project)
         for arch in sorted(flow.arches):
             arch_flow = flow.arches[arch]
-            module = project.module(arch_flow.module)
-            if module is None:
-                continue
-            handlers = _scan_engine(module)
+            handlers = engine_handlers(project)[ARCH_FILES[arch]]
             witnessed: Dict[str, List[int]] = {}
             bearing: Set[str] = set(LOG_APPEND_METHODS)
             for handler in handlers.values():
@@ -205,12 +220,8 @@ class FlowMetaRaceRule(Rule):
     def check(self, project: Project) -> Iterator[Finding]:
         flow = _flow(project)
         for arch in sorted(flow.arches):
-            arch_flow = flow.arches[arch]
-            module = project.module(arch_flow.module)
-            if module is None:
-                continue
-            handlers = _scan_engine(module)
-            closure = happens_before(flow, arch)
+            handlers = engine_handlers(project)[ARCH_FILES[arch]]
+            closure = happens_before(flow.arches[arch])
             unmediated = [
                 (qualified, handler, access)
                 for qualified, handler in sorted(handlers.items())
@@ -226,7 +237,7 @@ class FlowMetaRaceRule(Rule):
                             and (a.mode == "write"
                                  or access.mode == "write")
                             for a in other.accesses)
-                    and not ordered(closure, handler.name, other.name))
+                    and not _ordered(closure, handler.name, other.name))
                 if not racing:
                     continue
                 yield Finding(

@@ -4,38 +4,32 @@ The paper's Figure 1 metadata — ``volatileTS``, ``glb_volatileTS``,
 ``glb_durableTS``, ``RDLock_Owner`` plus the WRLock — is the entire
 shared state of the consistency/persistency protocol, and Table I's
 verification conditions are all statements about who may touch which
-field when.  This rule statically extracts, for every handler in
-``core/baseline/engine.py`` and ``core/offload/engine.py``, the
-read/write sets over those fields (mapped through the sanctioned
-:class:`RecordMeta` accessors) and enforces three disciplines:
+field when.  :func:`engine_handlers` statically extracts, for every
+handler in ``core/baseline/engine.py`` and ``core/offload/engine.py``:
+
+* the read/write sets over those fields, mapped through the sanctioned
+  :class:`RecordMeta` accessors, each raw access tagged with its
+  mediation (the record's WRLock critical section, or a vFIFO/dFIFO
+  drain callback serialized by the FIFO worker);
+* the *durability witnesses*: NVM-log appends (``kv.persist`` /
+  ``_durable_enqueue`` / ``_persist_record`` family), waits on a
+  durability event (``all_ack_ps`` / ``all_acks`` /
+  ``local_persist_done`` / a dFIFO entry's ``drained``), and dispatch
+  tests on ``MsgType.VAL``/``VAL_P``.
+
+The interprocedural ``flow-durable-order`` and ``flow-meta-race`` rules
+(:mod:`repro.analysis.rules.flow`) check those facts across function
+boundaries.  This rule gates one discipline itself:
 
 * **meta-direct-write** — the four fields may be mutated *only* through
   the ``RecordMeta`` methods (``set_volatile``, ``set_glb_volatile``,
   ``set_glb_durable``, ``snatch_rdlock``, ``release_rdlock``).  A raw
   ``meta.glb_durable_ts = ts`` bypasses the monotonic-advance CAS
   semantics (§III-B) and the change gate that wakes spinning readers.
-* **meta-durable-without-log** — advancing ``glb_durableTS`` asserts
-  "this write is persistency-complete everywhere" (Table I rows P1/P2).
-  Statically, every ``set_glb_durable`` call must be preceded on its
-  path by a *durability witness*: an NVM-log append
-  (``kv.persist`` / ``_durable_enqueue`` / ``_persist_record`` family),
-  a wait on a durability event (``all_ack_ps`` / ``all_acks`` /
-  ``local_persist_done`` / a dFIFO entry's ``drained``), or a dispatch
-  test on ``MsgType.VAL``/``VAL_P`` (the coordinator's durability
-  attestation).
-* **meta-race** — a raw (non-accessor) field access must be mediated:
-  inside the record's WRLock critical section, or inside a vFIFO/dFIFO
-  drain callback (serialized by the FIFO worker).  Conflicting handler
-  pairs whose accesses lack mediation are reported — the static mirror
-  of the model checker's Table I race conditions — and the full
-  per-handler table (both engines, with the baseline-vs-offload diff)
-  is emitted under ``metadata_access`` in ``repro lint --json``.
 
-``meta-durable-without-log`` and ``meta-race`` are emitted as
-non-gating *warnings*: their single-function view is superseded by the
-interprocedural ``flow-durable-order`` and ``flow-meta-race`` rules
-(:mod:`repro.analysis.rules.flow`), which track witnesses and
-happens-before ordering across function boundaries and gate instead.
+It also emits the full per-handler table (both engines, with the
+baseline-vs-offload diff) under ``metadata_access`` in
+``repro lint --json``.
 """
 
 from __future__ import annotations
@@ -46,6 +40,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.core import (ModuleSource, Project, Rule, dotted_name,
                                  enclosing_symbol, rule)
+from repro.analysis.flow.callgraph import ARCH_FILES, engine_class_names
 from repro.analysis.report import Finding
 
 #: The Figure-1 metadata fields (RecordMeta attribute names).
@@ -82,8 +77,7 @@ DURABILITY_EVENTS = {"all_ack_ps", "all_acks", "local_persist_done",
 DURABILITY_MESSAGES = {"VAL", "VAL_P"}
 
 #: The engine files the analyzer covers.
-ENGINE_FILES = ("repro/core/baseline/engine.py",
-                "repro/core/offload/engine.py")
+ENGINE_FILES = tuple(ARCH_FILES.values())
 
 #: The module that owns the metadata fields (raw access sanctioned).
 METADATA_MODULE = "repro/core/metadata.py"
@@ -109,8 +103,6 @@ class HandlerAccess:
     path: str
     line: int
     accesses: List[FieldAccess] = field(default_factory=list)
-    #: self-methods this handler calls (for the transitive log closure).
-    calls: Set[str] = field(default_factory=set)
     #: Lines of direct NVM-log appends.
     log_appends: List[int] = field(default_factory=list)
     #: Lines of durability-event waits / VAL dispatch tests.
@@ -201,15 +193,10 @@ class _HandlerScanner(ast.NodeVisitor):
         if isinstance(func, ast.Attribute):
             receiver = func.value
             attr = func.attr
-            if self._is_meta_receiver(receiver):
-                if attr in META_SETTERS:
-                    self.handler.accesses.append(FieldAccess(
-                        fieldname=META_SETTERS[attr], mode="write",
-                        line=node.lineno, via=attr, mediation="accessor"))
-                elif attr in META_READERS:
-                    self.handler.accesses.append(FieldAccess(
-                        fieldname=META_READERS[attr], mode="read",
-                        line=node.lineno, via=attr, mediation="accessor"))
+            if self._is_meta_receiver(receiver) and attr in META_SETTERS:
+                self.handler.accesses.append(FieldAccess(
+                    fieldname=META_SETTERS[attr], mode="write",
+                    line=node.lineno, via=attr, mediation="accessor"))
             # meta.wrlock.acquire() / release(): critical-section marks.
             if (attr in ("acquire", "release")
                     and isinstance(receiver, ast.Attribute)
@@ -227,11 +214,9 @@ class _HandlerScanner(ast.NodeVisitor):
                 dotted = dotted_name(func)
                 if ".kv.persist" in f".{dotted}":
                     self.handler.log_appends.append(node.lineno)
-            # self-method calls, for the transitive closure.
-            if isinstance(receiver, ast.Name) and receiver.id == "self":
-                self.handler.calls.add(attr)
-                if attr in LOG_APPEND_METHODS:
-                    self.handler.log_appends.append(node.lineno)
+            if (isinstance(receiver, ast.Name) and receiver.id == "self"
+                    and attr in LOG_APPEND_METHODS):
+                self.handler.log_appends.append(node.lineno)
         self.generic_visit(node)
 
     # -- reads, witnesses ---------------------------------------------------
@@ -248,7 +233,8 @@ class _HandlerScanner(ast.NodeVisitor):
         elif (isinstance(node.ctx, ast.Load)
                 and node.attr in META_READERS
                 and self._is_meta_receiver(node.value)):
-            # property access (meta.rdlock_free)
+            # A reader call (meta.is_obsolete(ts)) or property
+            # (meta.rdlock_free): counted here, once, for both forms.
             self.handler.accesses.append(FieldAccess(
                 fieldname=META_READERS[node.attr], mode="read",
                 line=node.lineno, via=node.attr, mediation="accessor"))
@@ -290,17 +276,15 @@ def _fifo_drain_names(module: ModuleSource) -> Set[str]:
     return names | tails
 
 
-def _engine_classes(module: ModuleSource) -> List[ast.ClassDef]:
-    return [info.node for info in module.classes
-            if "EngineBase" in info.bases or info.name.endswith("Engine")]
-
-
 def _scan_engine(module: ModuleSource) -> Dict[str, HandlerAccess]:
     handlers: Dict[str, HandlerAccess] = {}
     drains = _fifo_drain_names(module)
-    for class_node in _engine_classes(module):
-        engine = class_node.name
-        for stmt in class_node.body:
+    engines = engine_class_names(module)
+    for info in module.classes:
+        if info.name not in engines:
+            continue
+        engine = info.name
+        for stmt in info.node.body:
             if not isinstance(stmt, (ast.FunctionDef,
                                      ast.AsyncFunctionDef)):
                 continue
@@ -330,45 +314,33 @@ def _scan_engine(module: ModuleSource) -> Dict[str, HandlerAccess]:
     return handlers
 
 
-def _transitive_log_appenders(
-        handlers: Dict[str, HandlerAccess]) -> Set[str]:
-    """Handler (bare) names that transitively reach an NVM-log append."""
-    by_name: Dict[str, List[HandlerAccess]] = {}
-    for handler in handlers.values():
-        by_name.setdefault(handler.name, []).append(handler)
-    appenders: Set[str] = set(LOG_APPEND_METHODS)
-    for handler in handlers.values():
-        if handler.log_appends:
-            appenders.add(handler.name)
-    changed = True
-    while changed:
-        changed = False
-        for handler in handlers.values():
-            if handler.name in appenders:
-                continue
-            if handler.calls & appenders:
-                appenders.add(handler.name)
-                changed = True
-    return appenders
+def _scan_engines(project: Project) -> Dict[str, Dict[str, HandlerAccess]]:
+    return {module.package_rel: _scan_engine(module)
+            for module in project.modules
+            if module.package_rel in ENGINE_FILES}
+
+
+def engine_handlers(project: Project) -> Dict[str, Dict[str, HandlerAccess]]:
+    """``Class.method`` -> :class:`HandlerAccess` per engine module
+    (package-relative path), scanned once per lint run."""
+    return project.shared("engine_handlers", _scan_engines)
 
 
 def build_access_table(project: Project) -> Dict[str, object]:
     """The machine-readable per-handler access table for ``--json``."""
     engines: Dict[str, Dict[str, object]] = {}
     all_handlers: Dict[str, HandlerAccess] = {}
-    for module in project.modules:
-        if module.package_rel in ENGINE_FILES:
-            handlers = _scan_engine(module)
-            all_handlers.update(handlers)
-            for qualified, handler in handlers.items():
-                engine_table = engines.setdefault(handler.engine, {})
-                engine_table[handler.name] = {
-                    "line": handler.line,
-                    "reads": handler.reads(),
-                    "writes": handler.writes(),
-                    "mediation": sorted({access.mediation
-                                         for access in handler.accesses}),
-                }
+    for handlers in engine_handlers(project).values():
+        all_handlers.update(handlers)
+        for handler in handlers.values():
+            engine_table = engines.setdefault(handler.engine, {})
+            engine_table[handler.name] = {
+                "line": handler.line,
+                "reads": handler.reads(),
+                "writes": handler.writes(),
+                "mediation": sorted({access.mediation
+                                     for access in handler.accesses}),
+            }
     # Cross-engine diff: which handlers of each engine write each field.
     fields: Dict[str, Dict[str, List[str]]] = {}
     for fieldname in META_FIELDS:
@@ -385,16 +357,9 @@ def build_access_table(project: Project) -> Dict[str, object]:
 @rule
 class MetadataAccessRule(Rule):
     id = "protocol"
-    title = "RecordMeta access discipline and static race report"
+    title = "RecordMeta access discipline and per-handler access table"
 
     def check(self, project: Project) -> Iterator[Finding]:
-        yield from self._check_direct_writes(project)
-        yield from self._check_durable_without_log(project)
-        yield from self._check_races(project)
-
-    # -- meta-direct-write: project-wide ------------------------------------
-
-    def _check_direct_writes(self, project: Project) -> Iterator[Finding]:
         for module in project.modules:
             if module.package_rel == METADATA_MODULE:
                 continue  # RecordMeta's own methods are the sanction
@@ -412,16 +377,11 @@ class MetadataAccessRule(Rule):
                     tail = receiver.rsplit(".", 1)[-1]
                     if tail == "self" or tail == "meta" or \
                             _is_meta_binding(target.value):
-                        if receiver == "self" and not \
-                                module.package_rel.startswith("repro/"):
+                        if (receiver == "self" and module.package_rel
+                                not in ENGINE_FILES):
+                            # self.volatile_ts outside an engine: the
+                            # class simply has a field of the same name.
                             continue
-                        if receiver == "self":
-                            # self.volatile_ts inside RecordMeta only;
-                            # anywhere else the class simply has a field
-                            # of the same name — skip unless the module
-                            # is an engine file.
-                            if module.package_rel not in ENGINE_FILES:
-                                continue
                         yield Finding(
                             rule="meta-direct-write", path=module.rel,
                             line=target.lineno,
@@ -432,77 +392,6 @@ class MetadataAccessRule(Rule):
                                     f"advance + change gate, §III-B); "
                                     f"use the set_*/snatch/release "
                                     f"methods")
-
-    # -- meta-durable-without-log -------------------------------------------
-
-    def _check_durable_without_log(
-            self, project: Project) -> Iterator[Finding]:
-        for module in project.modules:
-            if module.package_rel not in ENGINE_FILES:
-                continue
-            handlers = _scan_engine(module)
-            appenders = _transitive_log_appenders(handlers)
-            for qualified, handler in handlers.items():
-                for access in handler.accesses:
-                    if access.via != "set_glb_durable":
-                        continue
-                    witnesses = list(handler.durability_witnesses)
-                    witnesses += handler.log_appends
-                    # Calls into log-appending helpers before the write
-                    # also witness (their lines are in log_appends when
-                    # direct; approximate transitive calls by name).
-                    ok = any(line <= access.line for line in witnesses)
-                    if not ok and handler.name in appenders:
-                        ok = True
-                    if not ok:
-                        yield Finding(
-                            rule="meta-durable-without-log",
-                            path=module.rel, line=access.line,
-                            symbol=qualified,
-                            message="glb_durableTS advanced with no "
-                                    "preceding durability witness (NVM "
-                                    "log append, ACK_P/persist event "
-                                    "wait, or VAL_P dispatch) on this "
-                                    "path — violates Table I "
-                                    "persistency ordering",
-                            severity="warning")
-
-    # -- meta-race ----------------------------------------------------------
-
-    def _check_races(self, project: Project) -> Iterator[Finding]:
-        for module in project.modules:
-            if module.package_rel not in ENGINE_FILES:
-                continue
-            handlers = _scan_engine(module)
-            unmediated = [
-                (qualified, handler, access)
-                for qualified, handler in handlers.items()
-                for access in handler.accesses
-                if access.via == "raw" and access.mediation == "none"
-            ]
-            for qualified, handler, access in unmediated:
-                # Conflicting partner: any other handler touching the
-                # same field (write-write or read-write).
-                partners = sorted(
-                    other_name
-                    for other_name, other in handlers.items()
-                    if other_name != qualified
-                    and any(a.fieldname == access.fieldname
-                            and (a.mode == "write"
-                                 or access.mode == "write")
-                            for a in other.accesses))
-                if not partners:
-                    continue
-                yield Finding(
-                    rule="meta-race", path=module.rel, line=access.line,
-                    symbol=qualified,
-                    message=f"unmediated raw {access.mode} of "
-                            f"{access.fieldname} races with "
-                            f"{', '.join(partners[:3])}"
-                            f"{'…' if len(partners) > 3 else ''} — "
-                            f"needs WRLock, vFIFO serialization, or a "
-                            f"RecordMeta accessor (Table I)",
-                    severity="warning")
 
     def tables(self, project: Project) -> Dict[str, object]:
         return {"metadata_access": build_access_table(project)}

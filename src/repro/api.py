@@ -54,15 +54,12 @@ The surface, by theme:
 * **Results** — :class:`OpResult`, :class:`ExperimentResult`,
   :class:`Metrics`, :class:`Timestamp`.
 * **Static analysis** — :func:`run_analysis` (the ``repro lint`` pass
-  over a checkout) and :func:`extract_protocol_graph` (the
-  interprocedural protocol-flow IR, schema ``repro-protocol-graph/1``;
-  see docs/static_analysis.md).
+  over a checkout; see docs/static_analysis.md).
 """
 
 from __future__ import annotations
 
 from repro.analysis import run_analysis
-from repro.analysis.flow import extract_protocol_graph
 from repro.bench.harness import (ExperimentConfig, ExperimentResult,
                                  run_experiment, run_microservice)
 from repro.check import (CheckReport, CheckWorkload, DurabilityReport,
@@ -169,5 +166,4 @@ __all__ = [
     "Timestamp",
     # static analysis
     "run_analysis",
-    "extract_protocol_graph",
 ]

@@ -299,9 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       metavar="RULE_ID",
                       help="run only this rule (repeatable; unknown rule "
                       "ids are a hard error)")
-    lint.add_argument("--graph", default=None, metavar="FILE",
-                      help="also export the interprocedural protocol "
-                      "graph (repro-protocol-graph/1 JSON) to FILE")
     lint.add_argument("--baseline", default=None, metavar="FILE",
                       help="suppression file (default: lint-baseline.json "
                       "at the repo root, when present)")
@@ -788,7 +785,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Exit codes: 0 clean, 1 gating findings, 2 usage or internal
     analyzer error (unknown ``--rule``, crash inside a rule)."""
-    import json as _json
     import traceback
     from pathlib import Path
 
@@ -820,14 +816,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         project = load_project(root, paths=args.paths or None)
         result = analyze_project(project, baseline=baseline,
                                  only=args.rules)
-        if args.graph:
-            # Reuses the flow the lint rules just built from the parsed
-            # project, so the export costs no second source-tree walk.
-            from repro.analysis.flow import build_flow, export_graph
-
-            document = export_graph(project.shared("flow", build_flow))
-            Path(args.graph).write_text(
-                _json.dumps(document, indent=2) + "\n", encoding="utf-8")
     except Exception:  # noqa: BLE001 — analyzer crash is exit code 2
         traceback.print_exc()
         print("error: internal analyzer error (see traceback above)",

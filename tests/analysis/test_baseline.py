@@ -17,7 +17,7 @@ class TestMatching:
         assert baseline.matches(_finding())
         assert baseline.matches(_finding(line=999))  # line-free
         assert not baseline.matches(_finding(symbol="Other"))
-        assert not baseline.matches(_finding(rule="meta-race"))
+        assert not baseline.matches(_finding(rule="meta-direct-write"))
 
     def test_partition(self):
         baseline = Baseline([Suppression(

@@ -1,19 +1,20 @@
-"""The protocol-flow IR (``repro.analysis.flow``) on the real tree.
+"""The protocol-flow graph (``repro.analysis.flow``) on the real tree.
 
-These are the acceptance gates for the ``protocol-graph.json``
-artifact: schema, 100% handler coverage for both engines, the dispatch
-tables the paper's channel discipline implies, and the precision of
-the send-site type resolution (no washed-out "could be anything"
-entries on the protocol paths).
+These are the acceptance gates for the graph the ``flow-*`` rules
+check: 100% handler coverage for both engines, the dispatch tables the
+paper's channel discipline implies, and the precision of the send-site
+type resolution (no washed-out "could be anything" entries on the
+protocol paths).
 """
 
 import ast
 
 import pytest
 
-from repro.analysis import find_project_root
-from repro.analysis.flow import (ARCH_FILES, GRAPH_SCHEMA,
-                                 extract_protocol_graph)
+from repro.analysis import find_project_root, load_project
+from repro.analysis.flow import ARCH_FILES, build_flow
+from repro.analysis.flow.callgraph import reachable_from, successors
+from repro.analysis.rules.flow import ENTRY_POINTS
 
 ROOT = find_project_root()
 
@@ -22,8 +23,8 @@ ENGINE_CLASSES = {"baseline": "BaselineEngine", "offload": "OffloadEngine"}
 
 
 @pytest.fixture(scope="module")
-def graph():
-    return extract_protocol_graph(ROOT)
+def flow():
+    return build_flow(load_project(ROOT, paths=["src/repro"]))
 
 
 def _class_methods(rel, class_name):
@@ -35,75 +36,75 @@ def _class_methods(rel, class_name):
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))}
 
 
-class TestDocument:
-    def test_schema_and_top_level_shape(self, graph):
-        assert graph["schema"] == GRAPH_SCHEMA == "repro-protocol-graph/1"
-        assert set(graph["arches"]) == {"baseline", "offload"}
-        assert "BATCHED_ACK" in graph["msg_types"]
-        assert set(graph["msg_groups"]["is_ack"]) == {
-            "ACK", "ACK_C", "ACK_P"}
-        assert set(graph["msg_groups"]["is_val"]) == {
-            "VAL", "VAL_C", "VAL_P"}
+def _sends_by_function(flow, arch):
+    index = {}
+    for site in flow.arches[arch].sends:
+        index.setdefault(site.function, []).append(site)
+    return index
 
-    def test_all_seven_model_presets_present(self, graph):
-        names = [model["name"] for model in graph["models"]]
-        assert names == ["LIN_SYNCH", "LIN_STRICT", "LIN_RENF",
-                         "LIN_EVENT", "LIN_SCOPE", "EC_SYNCH", "EC_EVENT"]
-        lin_synch = graph["models"][0]
-        assert lin_synch["consistency"] == "LINEARIZABLE"
-        assert lin_synch["persistency"] == "SYNCHRONOUS"
-        assert lin_synch["props"]["split_acks"] is False
-        assert lin_synch["props"]["client_waits_for_persist"] is True
+
+class TestVocabulary:
+    def test_msg_groups_parsed_from_messages(self, flow):
+        assert set(flow.arches) == {"baseline", "offload"}
+        assert "BATCHED_ACK" in flow.vocabulary.members
+        assert flow.vocabulary.groups["is_ack"] == {"ACK", "ACK_C", "ACK_P"}
+        assert flow.vocabulary.groups["is_val"] == {"VAL", "VAL_C", "VAL_P"}
 
 
 class TestHandlerCoverage:
     """The gate: every method of EngineBase and of both engine classes
     appears in the graph — a handler added to an engine but missing
-    from the IR would silently escape every flow-* rule."""
+    from it would silently escape every flow-* rule."""
 
     @pytest.mark.parametrize("arch", ["baseline", "offload"])
-    def test_every_engine_method_is_in_the_graph(self, graph, arch):
+    def test_every_engine_method_is_in_the_graph(self, flow, arch):
         expected = _class_methods(BASE_FILE, "EngineBase")
         expected |= _class_methods("src/" + ARCH_FILES[arch],
                                    ENGINE_CLASSES[arch])
-        functions = set(graph["arches"][arch]["functions"])
-        missing = expected - functions
+        missing = expected - set(flow.arches[arch].universe)
         assert not missing, f"{arch}: handlers missing from graph: {missing}"
 
     @pytest.mark.parametrize("arch", ["baseline", "offload"])
-    def test_every_dispatch_handler_is_a_graph_function(self, graph, arch):
-        arch_doc = graph["arches"][arch]
-        functions = set(arch_doc["functions"])
-        for channel, table in arch_doc["channels"].items():
-            assert table["loop"] in functions
-            for msg_type, handlers in table["handlers"].items():
+    def test_every_dispatch_handler_is_a_graph_function(self, flow, arch):
+        arch_flow = flow.arches[arch]
+        for channel, table in arch_flow.dispatch.items():
+            assert table.loop in arch_flow.universe
+            for msg_type, handlers in table.handlers.items():
                 for handler in handlers:
-                    assert handler in functions, \
+                    assert handler in arch_flow.universe, \
                         f"{arch}/{channel}: {msg_type} -> {handler}"
+
+    @pytest.mark.parametrize("arch", ["baseline", "offload"])
+    def test_receive_loops_reachable(self, flow, arch):
+        """flow-durable-order searches from the entry points, so a
+        receive loop they cannot reach would hide its handlers."""
+        arch_flow = flow.arches[arch]
+        reachable = reachable_from(ENTRY_POINTS,
+                                   successors(arch_flow.edges))
+        loops = {table.loop for table in arch_flow.dispatch.values()}
+        assert loops and loops <= reachable
 
 
 class TestDispatchTables:
-    def test_baseline_net_rejects_batched_ack(self, graph):
-        net = graph["arches"]["baseline"]["channels"]["net"]
-        assert "BATCHED_ACK" in net["rejected"]
-        assert "BATCHED_ACK" not in net["accepted"]
+    def test_baseline_net_rejects_batched_ack(self, flow):
+        net = flow.arches["baseline"].dispatch["net"]
+        assert "BATCHED_ACK" in net.rejected
+        assert "BATCHED_ACK" not in net.accepted
         # 8 protocol types + the CKPT/CKPT_ACK checkpoint barrier.
-        assert len(net["accepted"]) == 10
-        assert "CKPT" in net["accepted"]
-        assert "CKPT_ACK" in net["accepted"]
+        assert len(net.accepted) == 10
+        assert "CKPT" in net.accepted
+        assert "CKPT_ACK" in net.accepted
 
     def test_offload_pcie_host_to_snic_accepts_inv_and_persist_only(
-            self, graph):
-        table = (graph["arches"]["offload"]["channels"]
-                 ["pcie_host_to_snic"])
-        assert table["accepted"] == ["INV", "PERSIST"]
-        assert not table["tolerant"]
+            self, flow):
+        table = flow.arches["offload"].dispatch["pcie_host_to_snic"]
+        assert table.accepted == {"INV", "PERSIST"}
+        assert not table.tolerant
 
-    def test_offload_pcie_snic_to_host_is_tolerant(self, graph):
-        table = (graph["arches"]["offload"]["channels"]
-                 ["pcie_snic_to_host"])
-        assert table["tolerant"]
-        assert len(table["accepted"]) == 11
+    def test_offload_pcie_snic_to_host_is_tolerant(self, flow):
+        table = flow.arches["offload"].dispatch["pcie_snic_to_host"]
+        assert table.tolerant
+        assert len(table.accepted) == 11
 
 
 class TestSendPrecision:
@@ -111,57 +112,33 @@ class TestSendPrecision:
     paths — an ``unknown`` send site would make flow-unhandled-message
     vacuous for that edge."""
 
-    def _sends_by_function(self, graph, arch):
-        index = {}
-        for send in graph["arches"][arch]["sends"]:
-            index.setdefault(send["function"], []).append(send)
-        return index
-
-    def test_no_unknown_send_sites_anywhere(self, graph):
+    def test_no_unknown_send_sites_anywhere(self, flow):
         for arch in ("baseline", "offload"):
-            for send in graph["arches"][arch]["sends"]:
-                assert not send["types"]["unknown"], \
-                    f"{arch}: {send['function']}:{send['line']}"
-                assert send["types"]["resolved"], \
-                    f"{arch}: {send['function']}:{send['line']}"
+            for site in flow.arches[arch].sends:
+                where = f"{arch}: {site.function}:{site.line}"
+                assert not site.types.unknown, where
+                assert site.types.literals, where
 
-    def test_offload_ack_forwarding_is_exactly_the_ack_group(self, graph):
-        sends = self._sends_by_function(graph, "offload")["_snic_on_ack"]
+    def test_offload_ack_forwarding_is_exactly_the_ack_group(self, flow):
+        sites = _sends_by_function(flow, "offload")["_snic_on_ack"]
         resolved = set()
-        for send in sends:
-            resolved.update(send["types"]["resolved"])
+        for site in sites:
+            resolved |= site.types.literals
         assert resolved == {"ACK", "ACK_C", "ACK_P"}
 
-    def test_offload_client_persist_sends_persist_only(self, graph):
-        sends = self._sends_by_function(graph, "offload")["client_persist"]
-        for send in sends:
-            assert send["types"]["resolved"] == ["PERSIST"]
+    def test_offload_client_persist_sends_persist_only(self, flow):
+        sites = _sends_by_function(flow, "offload")["client_persist"]
+        for site in sites:
+            assert site.types.literals == {"PERSIST"}
 
-    def test_baseline_fanout_covers_the_coordinator_vocabulary(self, graph):
+    def test_baseline_fanout_covers_the_coordinator_vocabulary(self, flow):
         """All baseline sends funnel through ``_deposit_fanout``; the
         interprocedural bindings must resolve it to exactly the
         coordinator-originated types (INVs, PERSISTs, and the VAL
         family) — never the ACK family, which only followers send."""
-        sends = self._sends_by_function(graph, "baseline")["_deposit_fanout"]
+        sites = _sends_by_function(flow, "baseline")["_deposit_fanout"]
         resolved = set()
-        for send in sends:
-            resolved.update(send["types"]["resolved"])
+        for site in sites:
+            resolved |= site.types.literals
         assert resolved == {"INV", "PERSIST", "VAL", "VAL_C", "VAL_P",
                             "CKPT"}
-
-
-class TestAutomata:
-    def test_no_model_has_unhandled_messages(self, graph):
-        for arch in ("baseline", "offload"):
-            for name, automaton in (graph["arches"][arch]["models"]
-                                    .items()):
-                assert automaton["unhandled"] == [], f"{arch}/{name}"
-
-    def test_dispatch_loops_are_reachable_in_every_model(self, graph):
-        for arch in ("baseline", "offload"):
-            arch_doc = graph["arches"][arch]
-            loops = {table["loop"]
-                     for table in arch_doc["channels"].values()}
-            for name, automaton in arch_doc["models"].items():
-                reachable = set(automaton["reachable"])
-                assert loops <= reachable, f"{arch}/{name}"

@@ -1,4 +1,5 @@
-"""Seeded-mutant gate for the flow-* rules.
+"""Seeded-mutant gate for the protocol rules (the four flow-* rules and
+``meta-direct-write``).
 
 Each test copies the real engine sources into a scratch tree, seeds
 one protocol bug the corresponding rule exists to catch, and asserts
@@ -23,7 +24,7 @@ BASELINE_ENGINE = "src/repro/core/baseline/engine.py"
 OFFLOAD_ENGINE = "src/repro/core/offload/engine.py"
 
 FLOW_RULES = ("flow-unhandled-message", "flow-send-without-timeout",
-              "flow-durable-order", "flow-meta-race")
+              "flow-durable-order", "flow-meta-race", "protocol")
 
 
 @pytest.fixture
@@ -55,7 +56,7 @@ def findings_for(result, rule_id):
 
 
 def test_clean_tree_is_quiet(scratch):
-    """No flow rule fires on the unmutated engines (else every gate
+    """No protocol rule fires on the unmutated engines (else every gate
     below is vacuous)."""
     result = lint(scratch, FLOW_RULES)
     assert result.findings == []
@@ -102,13 +103,11 @@ class TestDurableOrder:
                    for f in hits)
 
     def test_supersedes_the_intraprocedural_warning(self, scratch):
-        """The old intraprocedural ``meta-durable-without-log`` misses
-        this mutant entirely (the witness lives in a callee), and what
-        it does emit never gates — flow-durable-order is the only gate
-        on durable ordering now."""
+        """flow-durable-order is the only rule on durable ordering: the
+        ``protocol`` group reports nothing for this mutant."""
         mutate(scratch, BASELINE_ENGINE, *self.MUTATION)
         result = lint(scratch, ["protocol"])
-        assert not result.gating
+        assert result.findings == []
 
 
 class TestMetaRace:
@@ -124,3 +123,14 @@ class TestMetaRace:
         assert hits, "raw volatile_ts read on the SNIC ACK path must fire"
         assert any(f.symbol == "OffloadEngine._snic_on_ack"
                    for f in hits)
+
+
+class TestDirectWrite:
+    def test_raw_glb_durable_write_in_client_write_fires(self, scratch):
+        mutate(scratch, BASELINE_ENGINE, "        ts = self.issue_ts(key)\n",
+               "        ts = self.issue_ts(key)\n"
+               "        self.kv.meta(key).glb_durable_ts = ts\n")
+        result = lint(scratch, ["protocol"])
+        hits = findings_for(result, "meta-direct-write")
+        assert "BaselineEngine.client_write" in {f.symbol for f in hits}
+        assert result.gating

@@ -198,16 +198,6 @@ class TestJsonContract:
                 "flow-meta-race"} <= set(available_rules())
 
 
-class TestGraphExport:
-    def test_graph_flag_writes_versioned_document(self, tmp_path, capsys):
-        out = tmp_path / "protocol-graph.json"
-        assert main(["lint", "--graph", str(out)]) == 0
-        capsys.readouterr()
-        document = json.loads(out.read_text())
-        assert document["schema"] == "repro-protocol-graph/1"
-        assert set(document["arches"]) == {"baseline", "offload"}
-
-
 class TestBaselineStability:
     def test_update_baseline_is_sorted_and_stable(self, tmp_path, capsys):
         (tmp_path / "pyproject.toml").write_text("")

@@ -1,5 +1,6 @@
-"""Metadata access analyzer: direct writes, durable-without-log, races,
-and the per-handler access table."""
+"""Metadata access analyzer: direct writes, the durability witnesses and
+mediation tags the flow rules consume, and the per-handler access
+table."""
 
 import textwrap
 
@@ -47,19 +48,32 @@ class TestDirectWrite:
 
 
 class TestDurableWithoutLog:
+    """The scanner's durability witnesses, as ``flow-durable-order``
+    consumes them: ``client_write`` (an entry point) reaches
+    ``handler``, so an unwitnessed advance there is reachable."""
+
+    ENTRY = """
+                def client_write(self, key, ts):
+                    yield from self.handler(key, ts)
+    """
+
+    def _index(self, finding_index, body):
+        return finding_index(_engine(body + self.ENTRY),
+                             only=["flow-durable-order"])
+
     def test_unwitnessed_durable_advance_flagged(self, finding_index):
-        index = finding_index(_engine("""
+        index = self._index(finding_index, """
             class EngineBase: pass
 
             class BaselineEngine(EngineBase):
                 def handler(self, key, ts):
                     meta = self.kv.meta(key)
                     meta.set_glb_durable(ts)
-        """), only=["protocol"])
-        assert index["meta-durable-without-log"] == [(ENGINE_PATH, 7)]
+        """)
+        assert index["flow-durable-order"] == [(ENGINE_PATH, 7)]
 
     def test_ack_wait_witnesses(self, finding_index):
-        index = finding_index(_engine("""
+        index = self._index(finding_index, """
             class EngineBase: pass
 
             class BaselineEngine(EngineBase):
@@ -67,11 +81,11 @@ class TestDurableWithoutLog:
                     meta = self.kv.meta(key)
                     yield txn.all_ack_ps
                     meta.set_glb_durable(ts)
-        """), only=["protocol"])
-        assert "meta-durable-without-log" not in index
+        """)
+        assert "flow-durable-order" not in index
 
     def test_log_append_witnesses(self, finding_index):
-        index = finding_index(_engine("""
+        index = self._index(finding_index, """
             class EngineBase: pass
 
             class BaselineEngine(EngineBase):
@@ -79,11 +93,11 @@ class TestDurableWithoutLog:
                     meta = self.kv.meta(key)
                     self.kv.persist(key, value, ts)
                     meta.set_glb_durable(ts)
-        """), only=["protocol"])
-        assert "meta-durable-without-log" not in index
+        """)
+        assert "flow-durable-order" not in index
 
     def test_val_p_dispatch_witnesses(self, finding_index):
-        index = finding_index(_engine("""
+        index = self._index(finding_index, """
             class EngineBase: pass
 
             class BaselineEngine(EngineBase):
@@ -91,11 +105,29 @@ class TestDurableWithoutLog:
                     meta = self.kv.meta(msg.key)
                     if msg.type is MsgType.VAL_P:
                         meta.set_glb_durable(msg.ts)
-        """), only=["protocol"])
-        assert "meta-durable-without-log" not in index
+        """)
+        assert "flow-durable-order" not in index
+
+    def test_witness_in_the_caller_covers_the_callee(self, finding_index):
+        index = finding_index(_engine("""
+            class EngineBase: pass
+
+            class BaselineEngine(EngineBase):
+                def handler(self, key, ts):
+                    meta = self.kv.meta(key)
+                    meta.set_glb_durable(ts)
+
+                def client_write(self, key, ts, txn):
+                    yield txn.all_ack_ps
+                    yield from self.handler(key, ts)
+        """), only=["flow-durable-order"])
+        assert "flow-durable-order" not in index
 
 
 class TestRace:
+    """The scanner's mediation tags, as ``flow-meta-race`` consumes
+    them (the fixtures' handlers share no happens-before edge)."""
+
     def test_unmediated_conflicting_access_flagged(self, finding_index):
         index = finding_index(_engine("""
             class EngineBase: pass
@@ -108,8 +140,8 @@ class TestRace:
                 def writer(self, key, ts):
                     meta = self.kv.meta(key)
                     meta.set_volatile(ts)
-        """), only=["protocol"])
-        assert index["meta-race"] == [(ENGINE_PATH, 7)]
+        """), only=["flow-meta-race"])
+        assert index["flow-meta-race"] == [(ENGINE_PATH, 7)]
 
     def test_wrlock_span_mediates(self, finding_index):
         index = finding_index(_engine("""
@@ -126,8 +158,8 @@ class TestRace:
                 def writer(self, key, ts):
                     meta = self.kv.meta(key)
                     meta.set_volatile(ts)
-        """), only=["protocol"])
-        assert "meta-race" not in index
+        """), only=["flow-meta-race"])
+        assert "flow-meta-race" not in index
 
     def test_fifo_drain_mediates(self, finding_index):
         index = finding_index(_engine("""
@@ -147,8 +179,26 @@ class TestRace:
                 def writer(self, key, ts):
                     meta = self.kv.meta(key)
                     meta.set_volatile(ts)
+        """), only=["flow-meta-race"])
+        assert "flow-meta-race" not in index
+
+    def test_protocol_group_reports_no_race_warnings(self, finding_index):
+        """Races are the flow rule's call alone: the protocol group
+        emits only ``meta-direct-write``."""
+        index = finding_index(_engine("""
+            class EngineBase: pass
+
+            class BaselineEngine(EngineBase):
+                def reader(self, key, ts):
+                    meta = self.kv.meta(key)
+                    return meta.volatile_ts < ts
+
+                def writer(self, key, ts):
+                    meta = self.kv.meta(key)
+                    meta.set_volatile(ts)
+                    meta.set_glb_durable(ts)
         """), only=["protocol"])
-        assert "meta-race" not in index
+        assert index == {}
 
 
 class TestAccessTable:
@@ -189,6 +239,20 @@ class TestAccessTable:
         handler = result.tables["metadata_access"]["engines"][
             "BaselineEngine"]["handler"]
         assert set(handler["reads"]) == {"volatile_ts", "glb_durable_ts"}
+
+    def test_reader_call_counted_once(self):
+        result = self._result("""
+            class EngineBase: pass
+
+            class BaselineEngine(EngineBase):
+                def handler(self, key, ts):
+                    meta = self.kv.meta(key)
+                    if meta.is_obsolete(ts) or not meta.rdlock_free:
+                        return
+        """)
+        handler = result.tables["metadata_access"]["engines"][
+            "BaselineEngine"]["handler"]
+        assert handler["reads"] == {"volatile_ts": [7], "rdlock_owner": [7]}
 
     def test_field_writers_diff_section(self):
         result = self._result("""
