@@ -64,9 +64,6 @@ class ExperimentResult:
     metrics: Metrics
     #: Mean fraction of host-core time spent computing (0..1).
     host_utilization: float = 0.0
-    #: Calendar entries the kernel processed for this run (the numerator
-    #: of the ``repro bench`` macro events/sec figure).
-    events_processed: int = 0
 
     def row(self) -> Dict[str, object]:
         """A flat dict for table rendering."""
@@ -112,7 +109,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         breakdown=write_breakdown(metrics),
         metrics=metrics,
         host_utilization=utilization,
-        events_processed=cluster.sim.events_processed,
     )
 
 

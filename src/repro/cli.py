@@ -27,10 +27,6 @@ Commands:
 * ``profile``    — run a workload with the span recorder attached and
   print the per-protocol-phase latency breakdown.
 * ``sweep``      — cartesian parameter sweeps over experiment points.
-* ``bench``      — simulator performance benchmarks (events/sec,
-  messages/sec, macro YCSB wall-clock); writes
-  ``BENCH_*.json`` and optionally gates against a recorded baseline
-  (the CI perf-smoke job).
 * ``report``     — assemble benchmarks/results/*.txt into one report.
 * ``lint``       — run the repo's static analyzer (protocol metadata
   discipline, determinism, ``__slots__`` integrity, fast-path parity,
@@ -259,25 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        "experiment config, plus persist_latency / "
                        "fifo_entries)")
     _add_experiment_args(sweep, records=100, requests=40, clients=2)
-
-    bench = sub.add_parser(
-        "bench", help="simulator performance benchmarks "
-        "(events/sec, messages/sec, macro YCSB wall-clock)")
-    bench.add_argument("--only", default="all",
-                       choices=("all", "micro", "macro", "ckpt"),
-                       help="which benchmark group to run")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timed repetitions per benchmark (best wins)")
-    bench.add_argument("--output", default=None, metavar="FILE",
-                       help="write the BENCH_*.json payload here")
-    bench.add_argument("--check", default=None, metavar="BASELINE",
-                       help="compare against a recorded BENCH_*.json; "
-                       "exit 1 on a regression beyond --tolerance")
-    bench.add_argument("--tolerance", type=float, default=2.0,
-                       help="allowed slowdown factor for --check "
-                       "(default 2.0)")
-    bench.add_argument("--json", action="store_true",
-                       help="print the payload as JSON instead of a table")
 
     report = sub.add_parser(
         "report", help="assemble benchmarks/results/*.txt into one report")
@@ -725,37 +702,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import perf
-
-    payload = perf.run_bench(only=args.only, repeats=args.repeats)
-    if args.output:
-        import json
-
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-    if args.json:
-        import json
-
-        print(json.dumps(payload, indent=2))
-    else:
-        print(perf.format_report(payload))
-        if args.output:
-            print(f"wrote {args.output}")
-    if args.check:
-        failures = perf.check_against(payload,
-                                      perf.load_baseline(args.check),
-                                      tolerance=args.tolerance)
-        for failure in failures:
-            print(f"PERF REGRESSION: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"perf check vs {args.check}: ok "
-              f"(tolerance {args.tolerance:g}x)")
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     import pathlib
 
@@ -847,7 +793,6 @@ def _cmd_configs(_args: argparse.Namespace) -> int:
 
 
 _COMMANDS = {
-    "bench": _cmd_bench,
     "chaos": _cmd_chaos,
     "check": _cmd_check,
     "ckpt": _cmd_ckpt,

@@ -289,7 +289,7 @@ class MinosCluster:
                      for i, c in enumerate(clients)]
         # The run allocates heavily but creates no reference cycles worth
         # collecting mid-flight; pausing the cyclic GC is a measurable win
-        # on the events/sec bound (see repro.bench.perf).
+        # on wall-clock ops/s (the perf ledger's ``ops_per_s``).
         was_enabled = gc.isenabled()
         if was_enabled:
             gc.disable()

@@ -32,6 +32,18 @@ class Summary:
         return (f"n={self.count} mean={self.mean * 1e6:.2f}us "
                 f"p50={self.p50 * 1e6:.2f}us p99={self.p99 * 1e6:.2f}us")
 
+    def to_dict(self) -> dict:
+        """The JSON form every ``--json`` payload uses."""
+        return {
+            "count": self.count,
+            "mean_s": self.mean,
+            "p50_s": self.p50,
+            "p95_s": self.p95,
+            "p99_s": self.p99,
+            "min_s": self.minimum,
+            "max_s": self.maximum,
+        }
+
 
 EMPTY_SUMMARY = Summary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -187,22 +199,10 @@ class Metrics:
         """A JSON-serializable snapshot of everything measured — for
         dumping experiment results to disk (``repro experiment --json``)
         and for downstream tooling."""
-        def summary_dict(summary: Summary) -> dict:
-            return {
-                "count": summary.count,
-                "mean_s": summary.mean,
-                "p50_s": summary.p50,
-                "p95_s": summary.p95,
-                "p99_s": summary.p99,
-                "min_s": summary.minimum,
-                "max_s": summary.maximum,
-            }
-
         return {
-            "write_latency": summary_dict(self.write_latency.summary()),
-            "read_latency": summary_dict(self.read_latency.summary()),
-            "persist_latency": summary_dict(
-                self.persist_latency.summary()),
+            "write_latency": self.write_latency.summary().to_dict(),
+            "read_latency": self.read_latency.summary().to_dict(),
+            "persist_latency": self.persist_latency.summary().to_dict(),
             "write_throughput_ops": self.write_throughput(),
             "read_throughput_ops": self.read_throughput(),
             "duration_s": self.duration,

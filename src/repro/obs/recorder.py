@@ -196,17 +196,11 @@ class Observability:
     # -- export --------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        def summary_dict(summary: Summary) -> dict:
-            return {"count": summary.count, "mean_s": summary.mean,
-                    "p50_s": summary.p50, "p95_s": summary.p95,
-                    "p99_s": summary.p99, "min_s": summary.minimum,
-                    "max_s": summary.maximum}
-
         return {
             "spans": len(self.spans),
             "segments": len(self.segments),
             "instants": len(self.instants),
-            "phases": {phase: summary_dict(summary)
+            "phases": {phase: summary.to_dict()
                        for phase, summary in self.phase_summaries().items()},
             "nodes": {str(node): registry.to_dict()
                       for node, registry

@@ -128,17 +128,9 @@ class LogHistogram:
         )
 
     def to_dict(self) -> dict:
-        summary = self.summary()
-        return {
-            "count": summary.count,
-            "mean_s": summary.mean,
-            "p50_s": summary.p50,
-            "p95_s": summary.p95,
-            "p99_s": summary.p99,
-            "min_s": summary.minimum,
-            "max_s": summary.maximum,
-            "relative_error": self.relative_error,
-        }
+        payload = self.summary().to_dict()
+        payload["relative_error"] = self.relative_error
+        return payload
 
 
 class MetricsRegistry:

@@ -13,12 +13,13 @@ Performance notes (the kernel bounds every experiment's wall-clock):
 
 * :meth:`Simulator.run` inlines the pop/advance/callback step with the heap
   and queue bound to locals: that loop is the cost of one calendar entry
-  (see :mod:`repro.bench.perf`).
+  (the ``sim.kernel`` row of the perf ledger, ``ledger/README.md``).
 * :meth:`Simulator.sleep` hands out pooled, recycled :class:`Timeout`
   objects for the dominant fixed-delay pattern.  Pooling changes no
   calendar entry — only allocation traffic — and can be disabled by
-  setting :attr:`timeout_pooling` to ``False`` (the perf-regression tests
-  assert the calendar is identical either way).
+  setting :attr:`timeout_pooling` to ``False``
+  (``tests/sim/test_calendar_identity.py`` asserts the calendar is
+  identical either way).
 * What bounds an experiment is calendar entries per client op, so the
   cheapest entry is the one never pushed: :meth:`Simulator.call_at` runs a
   fixed-function device stage (the baseline NIC) on one entry per
@@ -68,7 +69,7 @@ class Simulator:
         self._seq: int = 0
         self.strict = strict
         #: Calendar entries processed so far (one per fired event); the
-        #: numerator of the events/sec benchmarks.
+        #: numerator of the ledger's ``sim.events_per_op``.
         self.events_processed: int = 0
         #: Recycled :class:`_PooledTimeout` instances (see :meth:`sleep`).
         self._timeout_pool: List[_PooledTimeout] = []

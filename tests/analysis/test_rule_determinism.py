@@ -36,7 +36,7 @@ class TestWallClock:
         assert index["no-wallclock"] == [("src/repro/sim/mod.py", 5)]
 
     def test_outside_subsystems_allowed(self, finding_index):
-        index = finding_index({"src/repro/bench/perf.py": textwrap.dedent("""
+        index = finding_index({"src/repro/bench/harness.py": textwrap.dedent("""
             import time
 
             def wall():

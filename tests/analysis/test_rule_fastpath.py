@@ -68,7 +68,7 @@ class TestDivergentFork:
 
     def test_outside_subsystems_ignored(self, finding_index):
         index = finding_index({
-            "src/repro/bench/perf.py": textwrap.dedent("""
+            "src/repro/bench/harness.py": textwrap.dedent("""
                 class Runner:
                     def run(self):
                         if self.tracer is not None:

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import pathlib
+import re
+import shlex
+
 import pytest
 
 from repro.cli import main
@@ -153,3 +157,42 @@ class TestJsonExport:
         assert payload["write_latency"]["count"] > 0
         assert payload["counters"]["writes_completed"] > 0
         assert 0 <= payload["communication_fraction"] <= 1
+
+
+class TestDocCommands:
+    """Every ``python -m repro ...`` line in a fenced code block of the
+    README or ``docs/*.md`` parses against the real CLI (parse only,
+    nothing runs), so a renamed or deleted command or flag cannot leave
+    a stale example behind."""
+
+    COMMAND = re.compile(
+        r"^(?:\$\s+)?(?:\w+=\S*\s+)*python3? -m repro\b(?P<argv>.*)$")
+
+    @classmethod
+    def doc_commands(cls):
+        """``(file name, argv text)`` per documented command, with
+        backslash continuations joined."""
+        root = pathlib.Path(__file__).resolve().parents[1]
+        commands = []
+        for path in [root / "README.md", *sorted(root.glob("docs/*.md"))]:
+            fenced = False
+            for line in path.read_text().replace("\\\n", " ").splitlines():
+                line = line.strip()
+                if line.startswith("```"):
+                    fenced = not fenced
+                elif fenced and (match := cls.COMMAND.match(line)):
+                    commands.append((path.name, match["argv"]))
+        return commands
+
+    def test_every_documented_command_parses(self):
+        from repro.cli import _build_parser
+
+        commands = self.doc_commands()
+        assert len(commands) >= 20
+        parser = _build_parser()
+        for where, text in commands:
+            try:
+                parser.parse_args(shlex.split(text, comments=True))
+            except SystemExit:
+                pytest.fail(f"{where}: `python -m repro{text}` does not "
+                            "parse")
