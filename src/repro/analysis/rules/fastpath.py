@@ -27,7 +27,7 @@ Two statically checkable shapes:
   ``return``) on such a guard where the two arms' *effect sets* (dotted
   names of non-observer calls + attributes stored) differ.  Both arms
   must drive the same state-mutation helpers (e.g. both arms of
-  ``Port._deliver`` call ``self._schedule_delivery``).
+  ``Port._deliver`` call ``self._schedule_deliveries``).
 """
 
 from __future__ import annotations

@@ -71,7 +71,7 @@ class Event:
         if self._value is not _UNSET or self._exc is not None:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
         self._value = value
-        self.sim._schedule_event(self)
+        self.sim._schedule_now(self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -81,16 +81,10 @@ class Event:
         if not isinstance(exc, BaseException):
             raise SimulationError("fail() requires an exception instance")
         self._exc = exc
-        self.sim._schedule_event(self)
+        self.sim._schedule_now(self)
         return self
 
     # -- kernel interface ---------------------------------------------------
-
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        if callbacks:
-            for callback in callbacks:
-                callback(self)
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Register *callback*; runs immediately if already processed."""

@@ -1,9 +1,10 @@
 """The discrete-event simulation kernel.
 
-:class:`Simulator` owns the event calendar (a binary heap keyed on simulated
-time) and drives processes.  Time is a ``float`` in **seconds**; hardware
-parameters elsewhere in the library are expressed in nanoseconds and
-converted at the edges (see :mod:`repro.hw.params`).
+:class:`Simulator` owns the event calendar (a FIFO of entries due now
+beside a binary heap, keyed on simulated time and push order) and drives
+processes.  Time is a ``float`` in **seconds**; hardware parameters
+elsewhere in the library are expressed in nanoseconds and converted at the
+edges (see :mod:`repro.hw.params`).
 
 The kernel is deliberately small and single-threaded: determinism is a design
 requirement (DESIGN.md §5.4).  Ties in the calendar are broken by insertion
@@ -14,6 +15,10 @@ Performance notes (the kernel bounds every experiment's wall-clock):
 * :meth:`Simulator.run` inlines the pop/advance/callback step with the heap
   and queue bound to locals: that loop is the cost of one calendar entry
   (the ``sim.kernel`` row of the perf ledger, ``ledger/README.md``).
+* Same-instant work costs no heap operation: zero-delay pushes go to a
+  FIFO, all keyed ``now``.  :meth:`run` takes its head unless the heap top
+  is at ``now`` too with a smaller ``seq``, so entries still fire in exact
+  one-heap ``(time, seq)`` order (docs/simulator.md, "Kernel").
 * :meth:`Simulator.sleep` hands out pooled, recycled :class:`Timeout`
   objects for the dominant fixed-delay pattern.  Pooling changes no
   calendar entry — only allocation traffic — and can be disabled by
@@ -23,29 +28,33 @@ Performance notes (the kernel bounds every experiment's wall-clock):
 * What bounds an experiment is calendar entries per client op, so the
   cheapest entry is the one never pushed: :meth:`Simulator.call_at` runs a
   fixed-function device stage (the baseline NIC) on one entry per
-  completion, an unjoined process finishes in place, and ``Port.post``
-  schedules no serialization-done timeout (docs/simulator.md, "Processes
-  vs callbacks"; ``tests/sim/test_event_budget.py`` holds the count).
-* All scheduling funnels through :meth:`_schedule_event` and
-  :meth:`call_at`.  Tests that need to record the calendar assign
-  :attr:`Simulator.schedule_observer` — a ``(event, delay)`` callable
-  invoked on every push — instead of wrapping them (the class uses
-  ``__slots__``, so per-instance method monkeypatching is not possible).
+  completion, an unjoined process finishes in place, ``Port.post``
+  schedules no serialization-done timeout, and a broadcast's same-instant
+  deliveries share one entry (docs/simulator.md, "Processes vs
+  callbacks"; ``tests/sim/test_event_budget.py`` holds the count).
+* All scheduling funnels through :meth:`_schedule_now`,
+  :meth:`_schedule_event` and :meth:`call_at`.  Tests that need to record
+  the calendar assign :attr:`Simulator.schedule_observer` — a
+  ``(event, delay)`` callable invoked on every push — instead of wrapping
+  them (the class uses ``__slots__``, so per-instance method
+  monkeypatching is not possible).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.errors import SimulationError, StopSimulation
-from repro.sim.events import (AllOf, AnyOf, Event, Timeout, _PooledTimeout,
-                              _UNSET)
+from repro.sim.events import AllOf, AnyOf, Event, Timeout, _PooledTimeout
 from repro.sim.process import Process, ProcessGenerator
 
 #: Upper bound on the timeout free pool; past this, fired pooled timeouts
 #: are simply dropped for the garbage collector.
 _POOL_CAP = 1024
+
+_INF = float("inf")
 
 
 class Simulator:
@@ -59,13 +68,15 @@ class Simulator:
         the process event — surfacing protocol bugs loudly.
     """
 
-    __slots__ = ("_now", "_queue", "_seq", "strict", "events_processed",
-                 "_timeout_pool", "timeout_pooling", "_next_write_id",
-                 "_next_persist_id", "schedule_observer")
+    __slots__ = ("_now", "_queue", "_ready", "_seq", "strict",
+                 "events_processed", "_timeout_pool", "timeout_pooling",
+                 "_next_write_id", "_next_persist_id", "schedule_observer")
 
     def __init__(self, strict: bool = True) -> None:
         self._now: float = 0.0
         self._queue: List[Tuple[float, int, Event]] = []
+        #: Entries keyed ``(now, seq)``, in push order (see :meth:`run`).
+        self._ready: Deque[Tuple[int, Event]] = deque()
         self._seq: int = 0
         self.strict = strict
         #: Calendar entries processed so far (one per fired event); the
@@ -157,7 +168,7 @@ class Simulator:
         """Run ``callback(event)`` at simulated time *when* with *value*
         as the event's value: one calendar entry, no process.
 
-        *when* is absolute and becomes the heap key unchanged, so the
+        *when* is absolute and becomes the calendar key unchanged, so the
         caller decides how the float is formed — ``now + cost`` lands
         exactly where ``yield sim.sleep(cost)`` would have resumed.  A
         *ticket* (see :meth:`ticket`) places the entry among same-time
@@ -170,10 +181,15 @@ class Simulator:
         event = Event(self)
         event._value = value
         event.callbacks.append(callback)
+        if not ticket:
+            if when == now:
+                return self._schedule_now(event)
+            ticket = self._seq = self._seq + 1
+        elif ticket > self._seq:
+            raise SimulationError(f"call_at ticket {ticket} was never "
+                                  f"handed out (last is {self._seq})")
         if self.schedule_observer is not None:
             self.schedule_observer(event, when - now)
-        if not ticket:
-            ticket = self._seq = self._seq + 1
         _heappush(self._queue, (when, ticket, event))
 
     def ticket(self) -> int:
@@ -186,10 +202,21 @@ class Simulator:
 
     # -- kernel plumbing ------------------------------------------------------
 
+    def _schedule_now(self, event: Event) -> None:
+        """Put *event* on the calendar to run its callbacks at the current
+        instant: the FIFO tier, no heap operation."""
+        if self.schedule_observer is not None:
+            self.schedule_observer(event, 0.0)
+        seq = self._seq + 1
+        self._seq = seq
+        self._ready.append((seq, event))
+
     def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
         """Put *event* on the calendar to run its callbacks after *delay*."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if not delay:
+            return self._schedule_now(event)
         if self.schedule_observer is not None:
             self.schedule_observer(event, delay)
         seq = self._seq + 1
@@ -197,24 +224,26 @@ class Simulator:
         _heappush(self._queue, (self._now + delay, seq, event))
 
     def _step(self) -> None:
-        """Process the next calendar entry."""
-        when, _seq, event = _heappop(self._queue)
-        self._now = when
+        """Process the next calendar entry (the rule :meth:`run` inlines)."""
+        queue, ready = self._queue, self._ready
+        if ready:
+            if (queue and queue[0][0] == self._now
+                    and queue[0][1] < ready[0][0]):
+                event = _heappop(queue)[2]
+            else:
+                event = ready.popleft()[1]
+        else:
+            self._now, _seq, event = _heappop(queue)
         self.events_processed += 1
         callbacks, event.callbacks = event.callbacks, None
         if callbacks:
             for callback in callbacks:
                 callback(event)
-        if event._pooled:
-            self._recycle(event)
-
-    def _recycle(self, timeout: _PooledTimeout) -> None:
-        """Return a fired pooled timeout to the free pool."""
         pool = self._timeout_pool
-        if len(pool) < _POOL_CAP:
-            timeout.callbacks = []
-            timeout._value = None  # drop the payload reference
-            pool.append(timeout)
+        if event._pooled and len(pool) < _POOL_CAP:
+            event.callbacks = []
+            event._value = None  # drop the payload reference
+            pool.append(event)
 
     # -- running --------------------------------------------------------------
 
@@ -225,48 +254,48 @@ class Simulator:
         simulation is cut short, so back-to-back ``run`` calls see a
         monotonic clock.
         """
-        if until is not None and until < self._now:
+        now = self._now
+        if until is not None and until < now:
             raise SimulationError(
-                f"run(until={until}) is in the past (now={self._now})")
+                f"run(until={until}) is in the past (now={now})")
+        limit = _INF if until is None else until
         # The hot loop: one iteration per calendar entry.  Locals bound
-        # outside the loop; the callback step is inlined (Event.
-        # _run_callbacks and _step are kept for the cold run_until path).
+        # outside the loop; the callback step is inlined (_step is kept
+        # for the cold run_until path).  The FIFO's entries are all keyed
+        # ``now``: its head goes first unless the heap top is at ``now``
+        # too and was pushed earlier.
         queue = self._queue
+        ready = self._ready
         pop = _heappop
+        popleft = ready.popleft
         pool = self._timeout_pool
         processed = 0
         try:
-            if until is None:
-                while queue:
-                    when, _seq, event = pop(queue)
-                    self._now = when
-                    processed += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    if callbacks:
-                        for callback in callbacks:
-                            callback(event)
-                    if event._pooled and len(pool) < _POOL_CAP:
-                        event.callbacks = []
-                        event._value = None
-                        pool.append(event)
-            else:
-                while queue:
-                    if queue[0][0] > until:
-                        self._now = until
-                        return
-                    when, _seq, event = pop(queue)
-                    self._now = when
-                    processed += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    if callbacks:
-                        for callback in callbacks:
-                            callback(event)
-                    if event._pooled and len(pool) < _POOL_CAP:
-                        event.callbacks = []
-                        event._value = None
-                        pool.append(event)
+            while True:
+                if ready:
+                    if (queue and queue[0][0] == now
+                            and queue[0][1] < ready[0][0]):
+                        event = pop(queue)[2]
+                    else:
+                        event = popleft()[1]
+                elif queue:
+                    now, seq, event = pop(queue)
+                    if now > limit:  # cut: put it back untouched
+                        _heappush(queue, (now, seq, event))
+                        break
+                    self._now = now
+                else:
+                    break
+                processed += 1
+                callbacks = event.callbacks
+                event.callbacks = None
+                if callbacks:
+                    for callback in callbacks:
+                        callback(event)
+                if event._pooled and len(pool) < _POOL_CAP:
+                    event.callbacks = []
+                    event._value = None
+                    pool.append(event)
         except StopSimulation:
             return
         finally:
@@ -276,7 +305,7 @@ class Simulator:
 
     def run_until(self, event: Event) -> None:
         """Run until *event* triggers (or the calendar drains)."""
-        while self._queue and not event.triggered:
+        while (self._queue or self._ready) and not event.triggered:
             self._step()
 
     def run_process(self, generator: ProcessGenerator, name: str = "") -> Any:
@@ -302,4 +331,5 @@ class Simulator:
         raise StopSimulation()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator t={self._now:.3e} pending={len(self._queue)}>"
+        return (f"<Simulator t={self._now:.3e} "
+                f"pending={len(self._queue) + len(self._ready)}>")

@@ -12,12 +12,24 @@ destination mailbox.  Egress serialization at a single port is what makes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Store
+
+
+def _fan_out(event: Event) -> None:
+    """Run a coalesced delivery entry: each ``(packet, callback)`` in
+    ``event._value`` gets its own fired delivery event, as if it had had
+    an entry of its own."""
+    sim = event.sim
+    for packet, deliver in event._value:
+        delivery = Event(sim)
+        delivery._value = packet
+        delivery.callbacks = None
+        deliver(delivery)
 
 
 @dataclass(slots=True)
@@ -57,7 +69,7 @@ class Mailbox(Store):
     def __init__(self, sim: Simulator, name: str) -> None:
         super().__init__(sim, label=name)
         self.name = name
-        #: What :meth:`Port._schedule_delivery` attaches to a delivery.
+        #: What :meth:`Port._schedule_deliveries` hands a delivery to.
         self._deliver_cb: Callable[[Event], None] = self._enqueue
 
     def _enqueue(self, event: Event) -> None:
@@ -82,7 +94,8 @@ class Port:
     seconds after serialization completes.
 
     ``send_broadcast`` models MINOS-O's Message Broadcast Module: one
-    serialization, fan-out to every destination (paper §V-B.3).
+    serialization and one calendar entry fan out to every destination
+    (paper §V-B.3).
     """
 
     __slots__ = ("sim", "latency", "bandwidth", "gap", "name",
@@ -122,25 +135,45 @@ class Port:
         self._busy_until = done + self.gap
         return done, done - now
 
-    def _deliver(self, packet: Packet, mailbox: Mailbox, when: float) -> None:
+    def _deliver(self,
+                 deliveries: List[Tuple[Packet, Mailbox, float]]) -> None:
         injector = self.fault_injector
         if injector is not None:
             # Fault-injection path: the injector decides which copies of
-            # the packet arrive and when.  The fault-free path below is
-            # untouched (identical calendar) when no injector is set.
-            for copy, arrival in injector.deliveries(packet, when):
-                self._schedule_delivery(copy, mailbox, arrival)
-            return
-        self._schedule_delivery(packet, mailbox, when)
+            # each packet arrive and when.
+            self._schedule_deliveries([
+                (copy, mailbox, arrival) for packet, mailbox, when
+                in deliveries
+                for copy, arrival in injector.deliveries(packet, when)])
+        else:
+            self._schedule_deliveries(deliveries)
 
-    def _schedule_delivery(self, packet: Packet, mailbox: Mailbox,
-                           when: float) -> None:
-        packet.delivered_at = when
+    def _schedule_deliveries(
+            self, deliveries: List[Tuple[Packet, Mailbox, float]]) -> None:
+        """Put ``(packet, mailbox, arrival)`` *deliveries* on the calendar
+        in order, one entry per run of consecutive equal arrival times.
+
+        A delivery at the arrival time of the entry pushed just before it
+        joins that entry: pushes made back to back take adjacent sequence
+        numbers, so nothing could sort between them, and one entry that
+        hands each packet over in order is what the kernel would have run.
+        """
         sim = self.sim
-        event = Event(sim)
-        event._value = packet
-        event.callbacks.append(mailbox._deliver_cb)
-        sim._schedule_event(event, when - sim.now)
+        entry = None
+        for packet, mailbox, when in deliveries:
+            packet.delivered_at = when
+            if entry is not None and when == entry_when:
+                callbacks = entry.callbacks
+                if callbacks[0] is not _fan_out:
+                    entry._value = [(entry._value, callbacks[0])]
+                    callbacks[0] = _fan_out
+                entry._value.append((packet, mailbox._deliver_cb))
+                continue
+            entry = Event(sim)
+            entry._value = packet
+            entry.callbacks.append(mailbox._deliver_cb)
+            entry_when = when
+            sim._schedule_event(entry, when - sim.now)
 
     # -- API ------------------------------------------------------------------
 
@@ -155,7 +188,7 @@ class Port:
         self.bytes_sent += packet.size_bytes
         if self.obs is not None:
             self.obs.net_packet(self.name, packet.kind, packet.size_bytes)
-        self._deliver(packet, mailbox, done + self.latency)
+        self._deliver([(packet, mailbox, done + self.latency)])
         return wait
 
     def send(self, packet: Packet, mailbox: Mailbox) -> Event:
@@ -189,9 +222,11 @@ class Port:
         self.bytes_sent += size_bytes
         if self.obs is not None:
             self.obs.net_packet(self.name, "broadcast", size_bytes)
-        for packet, mailbox in pairs:
-            packet.sent_at = self.sim.now
-            self._deliver(packet, mailbox, done + self.latency)
+        now = self.sim.now
+        when = done + self.latency
+        for packet, _mailbox in pairs:
+            packet.sent_at = now
+        self._deliver([(packet, mailbox, when) for packet, mailbox in pairs])
         return wait
 
     def send_broadcast(self,

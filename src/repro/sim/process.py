@@ -30,7 +30,7 @@ class Process(Event):
     generator finishes, or fails with the generator's uncaught exception.
     """
 
-    __slots__ = ("generator", "name", "_waiting_on", "_send", "_throw")
+    __slots__ = ("generator", "name", "_send", "_throw")
 
     def __init__(self, sim: "Simulator", generator: ProcessGenerator,
                  name: str = "") -> None:
@@ -47,7 +47,6 @@ class Process(Event):
         self._label = name or getattr(generator, "__name__", "proc")
         self.generator = generator
         self.name = self._label
-        self._waiting_on: Event | None = None
         # Bound once here: _resume runs per yield, and creating these bound
         # methods there shows up in profiles.
         self._send = generator.send
@@ -56,7 +55,7 @@ class Process(Event):
         bootstrap = Event(sim)
         bootstrap._value = None
         bootstrap.add_callback(self._resume)
-        sim._schedule_event(bootstrap)
+        sim._schedule_now(bootstrap)
 
     @property
     def is_alive(self) -> bool:
@@ -70,7 +69,6 @@ class Process(Event):
         # fed straight back in (a loop, so joining any number of finished
         # processes in a row costs no stack).
         while True:
-            self._waiting_on = None
             try:
                 # Direct slot access: *trigger* has fired by the time we
                 # get here, so _exc/_value fully describe it.
@@ -100,7 +98,6 @@ class Process(Event):
                 raise SimulationError(
                     f"process {self.name!r} yielded an event from another "
                     "simulator")
-            self._waiting_on = target
             # Inlined target.add_callback(self._resume).
             callbacks = target.callbacks
             if callbacks is not None:

@@ -4,21 +4,37 @@ Every fast path in the kernel and fabric — pooled timeouts, the
 skip-when-no-tracer guards in the engines, the skip-when-no-injector
 branch in ``Port._deliver`` — claims to change only constant factors,
 never behavior.  These tests pin that claim: they install a
-:attr:`Simulator.schedule_observer` hook (called at the single
-heap-push choke point, :meth:`Simulator._schedule_event`) to record
-the full event calendar of a small-but-real workload and assert the
-recording is *identical* with the optimization on and off.
+:attr:`Simulator.schedule_observer` hook (called on every calendar
+push, in either tier) to record the full event calendar of a
+small-but-real workload and assert the recording is *identical* with the
+optimization on and off.
 
 A divergence here means an optimization changed simulation semantics,
 which invalidates every figure the repo produces — treat failures as
 release blockers, not flaky tests.
+
+The two-tier calendar (same-instant FIFO beside the heap) and the
+fan-out fold (one entry per run of equal arrival times in
+``Port._schedule_deliveries``) change the pushes themselves, so they are
+held against a heap-only, one-entry-per-delivery reference kernel
+instead (:class:`TestCalendarTiers`): every simulated result must be
+``==``, and the entry count lower by exactly the folded deliveries.
 """
 
-from repro.api import (LIN_SYNCH, MINOS_B, MINOS_O, MinosCluster,
-                       YcsbWorkload)
+from dataclasses import asdict
+from heapq import heappop, heappush
+
+import pytest
+
+from repro.api import (ALL_MODELS, LIN_SYNCH, MINOS_B, MINOS_O,
+                       MinosCluster, YcsbWorkload)
+from repro.core.config import ABLATION_CONFIGS, ProtocolConfig
+from repro.errors import SimulationError, StopSimulation
+from repro.faults import FaultPlan, LinkFaults
 from repro.hw.params import DEFAULT_MACHINE
-from repro.sim.events import Timeout, _PooledTimeout
+from repro.sim.events import Event, Timeout, _PooledTimeout
 from repro.sim.kernel import Simulator
+from repro.sim.network import Port
 
 
 def record_calendar(sim):
@@ -264,3 +280,172 @@ class TestInjectorFastPath:
         plain = run_small_workload(MINOS_B)
         hooked = run_small_workload(MINOS_B, setup=install)
         assert_identical(plain, hooked)
+
+
+# -- the heap-only, one-entry-per-delivery reference kernel ------------------
+
+def _reference_schedule_event(self, event, delay=0.0):
+    if delay < 0:
+        raise SimulationError(f"cannot schedule in the past (delay={delay})")
+    if self.schedule_observer is not None:
+        self.schedule_observer(event, delay)
+    self._seq += 1
+    heappush(self._queue, (self._now + delay, self._seq, event))
+
+
+def _reference_call_at(self, when, callback, value=None, ticket=0):
+    if when < self._now:
+        raise SimulationError(f"call_at({when}) is in the past")
+    event = Event(self)
+    event._value = value
+    event.callbacks.append(callback)
+    if self.schedule_observer is not None:
+        self.schedule_observer(event, when - self._now)
+    if not ticket:
+        ticket = self._seq = self._seq + 1
+    heappush(self._queue, (when, ticket, event))
+
+
+def _reference_step(self):
+    self._now, _seq, event = heappop(self._queue)
+    self.events_processed += 1
+    callbacks, event.callbacks = event.callbacks, None
+    for callback in callbacks or ():
+        callback(event)
+    if event._pooled:
+        event.callbacks, event._value = [], None
+        self._timeout_pool.append(event)
+
+
+def _reference_run(self, until=None):
+    if until is not None and until < self._now:
+        raise SimulationError(f"run(until={until}) is in the past")
+    try:
+        while self._queue:
+            if until is not None and self._queue[0][0] > until:
+                break
+            _reference_step(self)
+    except StopSimulation:
+        return
+    if until is not None:
+        self._now = until
+
+
+def _reference_run_until(self, event):
+    while self._queue and not event.triggered:
+        _reference_step(self)
+
+
+def _reference_deliveries(self, deliveries):
+    """One calendar entry per delivery, keyed as the kernel keys a delay."""
+    sim = self.sim
+    for packet, mailbox, when in deliveries:
+        packet.delivered_at = when
+        event = Event(sim)
+        event._value = packet
+        event.callbacks.append(mailbox._deliver_cb)
+        sim._schedule_event(event, when - sim.now)
+
+
+def install_reference_calendar(monkeypatch):
+    for name, function in (("_schedule_event", _reference_schedule_event),
+                           ("_schedule_now", _reference_schedule_event),
+                           ("call_at", _reference_call_at),
+                           ("_step", _reference_step),
+                           ("run", _reference_run),
+                           ("run_until", _reference_run_until)):
+        monkeypatch.setattr(Simulator, name, function)
+    monkeypatch.setattr(Port, "_schedule_deliveries", _reference_deliveries)
+
+
+def count_folds(monkeypatch):
+    """Spy on the fold: the returned list's one item accumulates
+    Σ(run length − 1), i.e. the adjacent deliveries that share an
+    arrival time."""
+    folded = [0]
+    fold = Port._schedule_deliveries
+
+    def spy(self, deliveries):
+        folded[0] += sum(1 for before, after in zip(deliveries,
+                                                     deliveries[1:])
+                         if before[2] == after[2])
+        fold(self, deliveries)
+
+    monkeypatch.setattr(Port, "_schedule_deliveries", spy)
+    return folded
+
+
+#: Drop, duplicate, delay and reorder on every inter-node link.
+LOSSY = FaultPlan(seed=5, default=LinkFaults(drop=0.03, duplicate=0.15,
+                                             delay=0.1, reorder=0.1))
+
+
+def observe(config, model=LIN_SYNCH, nodes=3, plan=None):
+    """One deterministic YCSB run -> everything it computed, plus its
+    entry count."""
+    cluster = MinosCluster(model=model, config=config,
+                           params=DEFAULT_MACHINE.with_nodes(nodes))
+    if plan is not None:
+        cluster.enable_faults(plan)
+    workload = YcsbWorkload(records=4 * nodes, requests_per_client=8,
+                            write_fraction=0.6, seed=7)
+    metrics = cluster.run_workload(workload, clients_per_node=1)
+    network = cluster.network
+    return {
+        "latencies": (metrics.write_latency.samples,
+                      metrics.read_latency.samples,
+                      metrics.persist_latency.samples),
+        "counters": asdict(metrics.counters),
+        "faults": (asdict(cluster.fault_injector.counters)
+                   if plan is not None else None),
+        "now": cluster.sim.now,
+        "traffic": [(name, network.port(name).packets_sent,
+                     network.port(name).bytes_sent)
+                    for name in network.endpoints()],
+        "kv": [dict(node.kv.table.items()) for node in cluster.nodes],
+    }, cluster.sim.events_processed
+
+
+#: B/O x 5 models, the other Fig. 12 ablations, the baseline NIC's own
+#: broadcast (``BaselineNic._tx_send``), 16 nodes, and a lossy fabric.
+RUNS = ([(config, model, 3, None) for config in (MINOS_B, MINOS_O)
+         for model in ALL_MODELS] +
+        [(config, LIN_SYNCH, 3, None) for config in ABLATION_CONFIGS
+         if config not in (MINOS_B, MINOS_O)] +
+        [(ProtocolConfig(batching=True, broadcast=True), LIN_SYNCH, 3, None),
+         (MINOS_O, LIN_SYNCH, 16, None), (MINOS_O, LIN_SYNCH, 3, LOSSY)])
+
+
+class TestCalendarTiers:
+    @pytest.mark.parametrize(
+        "config, model, nodes, plan", RUNS,
+        ids=[f"{config}-{model.name}-{nodes}n{'-lossy' if plan else ''}"
+             for config, model, nodes, plan in RUNS])
+    def test_matches_the_heap_only_reference(self, config, model, nodes,
+                                             plan):
+        """Same results as a one-heap calendar with one entry per
+        delivery; the entry count drops by exactly the folded
+        deliveries."""
+        with pytest.MonkeyPatch.context() as patch:
+            install_reference_calendar(patch)
+            reference, reference_entries = observe(config, model, nodes,
+                                                   plan)
+        with pytest.MonkeyPatch.context() as patch:
+            folded = count_folds(patch)
+            result, entries = observe(config, model, nodes, plan)
+        assert result == reference
+        assert entries == reference_entries - folded[0]
+        assert sum(len(samples) for samples in result["latencies"]) > 0
+        # Hardware fan-out needs a dest-mapped message: host batching, or
+        # the SNIC's own (MINOS-B+broadcast alone has nothing to fan out).
+        fans_out = config.broadcast and (config.batching or config.offload)
+        assert (folded[0] > 0) == (fans_out or plan is not None)
+
+    def test_the_reference_is_really_heap_only(self, monkeypatch):
+        """Guard against a vacuous oracle: under the reference no entry
+        ever reaches the FIFO tier or shares a delivery entry."""
+        install_reference_calendar(monkeypatch)
+        sim = Simulator()
+        sim.event().succeed()
+        sim.call_at(0.0, lambda event: None)
+        assert len(sim._queue) == 2 and not sim._ready

@@ -148,7 +148,49 @@ class TestPost:
         assert wait == pytest.approx(1.0)
         sim.run()
         assert [len(box) for box in boxes] == [1, 1, 1]
-        assert sim.events_processed == 3 and port.packets_sent == 1
+        # one calendar entry for the three same-instant deliveries
+        assert sim.events_processed == 1 and port.packets_sent == 1
+
+    def injected_broadcast(self, sim, extra_s):
+        """A 3-way broadcast through an injector that adds ``extra_s[i]``
+        to destination *i*'s arrival and duplicates the last packet;
+        returns ``(arrivals, calendar pushes)``."""
+        class Injector:
+            def deliveries(self, packet, when):
+                arrival = when + extra_s[int(packet.dst[1:])]
+                copies = [(packet, arrival)]
+                if packet.dst == "d2":
+                    copies.append((packet.clone(), arrival))
+                return copies
+
+        port = make_port(sim, latency=0.0, bandwidth=1e3)
+        port.fault_injector = Injector()
+        boxes = [Mailbox(sim, f"d{i}") for i in range(3)]
+        arrivals = []
+        for box in boxes:
+            box.deliver_to(lambda event: arrivals.append(
+                (sim.now, event.value.dst, event.callbacks)))
+        pushes = []
+        sim.schedule_observer = lambda event, delay: pushes.append(delay)
+        port.post_broadcast([(Packet(payload="m", size_bytes=1000, src="a",
+                                     dst=box.name), box) for box in boxes],
+                            1000)
+        sim.run()
+        return arrivals, pushes
+
+    def test_injected_port_keeps_one_entry_per_arrival_time(self, sim):
+        arrivals, pushes = self.injected_broadcast(sim, [0.0, 0.0, 0.5])
+        assert pushes == [1.0, 1.5]
+        assert arrivals == [(1.0, "d0", None), (1.0, "d1", None),
+                            (1.5, "d2", None), (1.5, "d2", None)]
+        assert sim.events_processed == 2
+
+    def test_only_consecutive_equal_arrivals_share_an_entry(self, sim):
+        arrivals, pushes = self.injected_broadcast(sim, [0.0, 0.5, 0.0])
+        assert pushes == [1.0, 1.5, 1.0]
+        assert [(when, dst) for when, dst, _ in arrivals] == [
+            (1.0, "d0"), (1.0, "d2"), (1.0, "d2"), (1.5, "d1")]
+        assert sim.events_processed == 3
 
 
 class TestMailboxConsumer:
