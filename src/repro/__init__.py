@@ -45,16 +45,12 @@ _EXPORTS = {
     "COMBINED_BROADCAST": "repro.core.config",
     "DDPModel": "repro.core.model",
     "ALL_MODELS": "repro.core.model",
-    "EXTENSION_MODELS": "repro.core.model",
     "LIN_SYNCH": "repro.core.model",
     "LIN_STRICT": "repro.core.model",
     "LIN_RENF": "repro.core.model",
     "LIN_EVENT": "repro.core.model",
     "LIN_SCOPE": "repro.core.model",
-    "EC_SYNCH": "repro.core.model",
-    "EC_EVENT": "repro.core.model",
     "model_by_name": "repro.core.model",
-    "Consistency": "repro.core.model",
     "Persistency": "repro.core.model",
     "Timestamp": "repro.core.timestamp",
     "RecoveryManager": "repro.core.recovery",

@@ -19,8 +19,10 @@ FlowGraph` (built once per run via ``project.shared``) and check the
   *any* function along the way.
 * **flow-meta-race** — an unmediated raw metadata access (outside the
   WRLock and the FIFO drains) conflicts with another handler's access
-  to the same field and the two handlers are not ordered by
-  :func:`happens_before` (program order + message edges).
+  to the same field.  Program and message order only order the steps
+  of one write, while the metadata is per key and shared by every
+  write to it, so the handlers of two writes to one key interleave
+  freely: only the WRLock and the FIFO drains order them.
 """
 
 from __future__ import annotations
@@ -31,14 +33,14 @@ from typing import Dict, Iterator, List, Set, Tuple
 from repro.analysis.core import Project, Rule, rule
 from repro.analysis.flow.callgraph import (ARCH_FILES, reachable_from,
                                            successors)
-from repro.analysis.flow.graph import ArchFlow, FlowGraph, build_flow
+from repro.analysis.flow.graph import FlowGraph, build_flow
 from repro.analysis.report import Finding
 from repro.analysis.rules.protocol import LOG_APPEND_METHODS, engine_handlers
 
 #: Client API + engine setup: the roots of every protocol path (the
 #: receive loops are spawned from ``__init__``).
 ENTRY_POINTS = ("__init__", "client_write", "client_read",
-                "client_persist", "_client_write_eventual")
+                "client_persist")
 
 #: Event attributes whose ``yield`` marks an ack-wait coordinator phase.
 ACK_WAIT_EVENTS = ("all_acks", "all_ack_cs", "all_ack_ps")
@@ -49,30 +51,6 @@ TIMER_REGISTRAR = "watch_retransmits"
 
 def _flow(project: Project) -> FlowGraph:
     return project.shared("flow", build_flow)
-
-
-def happens_before(arch_flow: ArchFlow) -> Dict[str, Set[str]]:
-    """Per-function reachability in the combined program + message
-    order digraph (each function maps to everything it reaches,
-    itself included).  A send site orders its function before the
-    receiving channel's loop and every handler its types route to."""
-    adjacency = successors(arch_flow.edges)
-    for site in arch_flow.sends:
-        table = arch_flow.dispatch.get(site.channel)
-        if table is None:
-            continue
-        edge_set = adjacency.setdefault(site.function, set())
-        for msg_type in site.types.literals:
-            edge_set.add(table.loop)
-            edge_set.update(table.handlers.get(msg_type, ()))
-    return {name: reachable_from([name], adjacency)
-            for name in arch_flow.universe}
-
-
-def _ordered(closure: Dict[str, Set[str]], first: str, second: str) -> bool:
-    """Whether *first* and *second* are happens-before comparable."""
-    return (second in closure.get(first, ())
-            or first in closure.get(second, ()))
 
 
 def _ack_wait_lines(node: ast.FunctionDef) -> List[Tuple[str, int]]:
@@ -215,13 +193,12 @@ class FlowDurableOrderRule(Rule):
 @rule
 class FlowMetaRaceRule(Rule):
     id = "flow-meta-race"
-    title = "Unordered conflicting metadata accesses (happens-before)"
+    title = "Unmediated conflicting metadata accesses"
 
     def check(self, project: Project) -> Iterator[Finding]:
         flow = _flow(project)
         for arch in sorted(flow.arches):
             handlers = engine_handlers(project)[ARCH_FILES[arch]]
-            closure = happens_before(flow.arches[arch])
             unmediated = [
                 (qualified, handler, access)
                 for qualified, handler in sorted(handlers.items())
@@ -236,17 +213,15 @@ class FlowMetaRaceRule(Rule):
                     and any(a.fieldname == access.fieldname
                             and (a.mode == "write"
                                  or access.mode == "write")
-                            for a in other.accesses)
-                    and not _ordered(closure, handler.name, other.name))
+                            for a in other.accesses))
                 if not racing:
                     continue
                 yield Finding(
                     rule=self.id, path=handler.path, line=access.line,
                     symbol=qualified,
                     message=f"unmediated raw {access.mode} of "
-                            f"{access.fieldname} has no happens-before "
-                            f"edge (program or message order) to "
+                            f"{access.fieldname} conflicts with "
                             f"{', '.join(racing[:3])}"
-                            f"{'…' if len(racing) > 3 else ''} — "
-                            f"the accesses can interleave freely "
-                            f"(Table I race)")
+                            f"{'…' if len(racing) > 3 else ''}, which "
+                            f"another write to the same key can run "
+                            f"in between (Table I race)")

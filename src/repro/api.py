@@ -10,8 +10,8 @@ The surface, by theme:
 * **Building a cluster** — :class:`MinosCluster`, :class:`ProtocolConfig`
   with the :data:`MINOS_B` / :data:`MINOS_O` architecture presets, the
   :class:`DDPModel` presets (:data:`LIN_SYNCH`, :data:`LIN_STRICT`,
-  :data:`LIN_RENF`, :data:`LIN_EVENT`, :data:`LIN_SCOPE`,
-  :data:`EC_SYNCH`, :data:`EC_EVENT`), and :class:`MachineParams` /
+  :data:`LIN_RENF`, :data:`LIN_EVENT`, :data:`LIN_SCOPE`), and
+  :class:`MachineParams` /
   :data:`DEFAULT_MACHINE` for the hardware point.
 * **Running work** — :class:`YcsbWorkload`, :class:`ExperimentConfig` +
   :func:`run_experiment` for one experiment point, direct
@@ -73,9 +73,8 @@ from repro.cluster.cluster import MinosCluster
 from repro.cluster.results import OpResult
 from repro.core.config import (MINOS_B, MINOS_O, ProtocolConfig,
                                config_by_name)
-from repro.core.model import (ALL_MODELS, EC_EVENT, EC_SYNCH, LIN_EVENT,
-                              LIN_RENF, LIN_SCOPE, LIN_STRICT, LIN_SYNCH,
-                              DDPModel, model_by_name)
+from repro.core.model import (ALL_MODELS, LIN_EVENT, LIN_RENF, LIN_SCOPE,
+                              LIN_STRICT, LIN_SYNCH, DDPModel, model_by_name)
 from repro.core.recovery import RecoveryManager
 from repro.core.timestamp import Timestamp
 from repro.faults import (CrashWindow, DisasterSpec, FaultPlan,
@@ -104,8 +103,6 @@ __all__ = [
     "LIN_RENF",
     "LIN_EVENT",
     "LIN_SCOPE",
-    "EC_SYNCH",
-    "EC_EVENT",
     "model_by_name",
     # hardware point
     "MachineParams",

@@ -810,8 +810,18 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command.  A :class:`~repro.errors.ConfigError` (a bad
+    model, architecture or flag value) prints one ``repro: error:`` line
+    and exits 2, as argparse does for malformed flags; any other
+    exception is a bug and propagates with its traceback."""
+    from repro.errors import ConfigError
+
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

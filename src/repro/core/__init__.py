@@ -7,10 +7,9 @@ from repro.core.config import (ABLATION_CONFIGS, B_BATCHING, B_BROADCAST,
 from repro.core.engine import ReadResult, WriteResult, WriteTxn
 from repro.core.messages import Message, MsgType
 from repro.core.metadata import MetadataTable, RecordMeta
-from repro.core.model import (ALL_MODELS, EC_EVENT, EC_SYNCH,
-                              EXTENSION_MODELS, LIN_EVENT, LIN_RENF,
-                              LIN_SCOPE, LIN_STRICT, LIN_SYNCH, Consistency,
-                              DDPModel, Persistency, model_by_name)
+from repro.core.model import (ALL_MODELS, LIN_EVENT, LIN_RENF, LIN_SCOPE,
+                              LIN_STRICT, LIN_SYNCH, DDPModel, Persistency,
+                              model_by_name)
 from repro.core.timestamp import INITIAL_TS, NULL_TS, Timestamp
 
 __all__ = [
@@ -21,11 +20,7 @@ __all__ = [
     "COMBINED",
     "COMBINED_BATCHING",
     "COMBINED_BROADCAST",
-    "Consistency",
     "DDPModel",
-    "EC_EVENT",
-    "EC_SYNCH",
-    "EXTENSION_MODELS",
     "INITIAL_TS",
     "LIN_EVENT",
     "LIN_RENF",

@@ -15,8 +15,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.core.config import ProtocolConfig
-from repro.core.engine import (EngineBase, ReadResult, WriteResult,
-                               WriteTxn, validate_model)
+from repro.core.engine import EngineBase, ReadResult, WriteResult, WriteTxn
 from repro.core.messages import Message, MsgType
 from repro.core.metadata import RecordMeta
 from repro.core.model import DDPModel, Persistency
@@ -47,7 +46,6 @@ class BaselineEngine(EngineBase):
         self.tolerate_stale_acks = False
         #: Hook for the recovery manager: called with non-protocol payloads.
         self.control_handler = None
-        validate_model(model)
         # Process names rendered once here: the dispatch loop spawns a
         # handler per message, and per-spawn f-strings are measurable.
         self._handler_names = {t: f"n{node_id}.h.{t.name}" for t in MsgType}
@@ -154,9 +152,6 @@ class BaselineEngine(EngineBase):
 
         *size* overrides the machine's default record size for this
         write's payload (LLC/NVM/wire costs all scale with it)."""
-        if self.model.is_eventual_consistency:
-            return (yield from self._client_write_eventual(key, value,
-                                                           size=size))
         started = self.sim.now
         # Minted unconditionally (not under the obs guard): attaching the
         # recorder must not shift the write ids an unobserved run assigns.
@@ -394,7 +389,7 @@ class BaselineEngine(EngineBase):
             finally:
                 host.cores.release()
         meta = self.kv.meta(key)
-        if not self.model.is_eventual_consistency and not meta.rdlock_free:
+        if not meta.rdlock_free:
             self.metrics.counters.read_stalls += 1
             if self.obs is not None:
                 self.obs.seg_begin(self.node_id, op_id, "rdlock_wait")
@@ -473,98 +468,6 @@ class BaselineEngine(EngineBase):
         return self.sim.now - started
 
     # ======================================================================
-    # Eventual-consistency extension (not in the paper's evaluation)
-    # ======================================================================
-
-    def _client_write_eventual(self, key: Any, value: Any,
-                               size: Optional[int] = None):
-        """⟨EC, *⟩ client-write: update (and, for Synch persistency,
-        persist) the local replica, launch the INVs for lazy propagation,
-        and return — no ACK/VAL round, no RDLock."""
-        started = self.sim.now
-        write_id = self.sim.next_write_id()  # unconditional: see client_write
-        self.metrics.counters.writes_started += 1
-        self.trace("write", "start (EC)", key=key)
-        if self.obs is not None:
-            self.obs.op_begin(self.node_id, "write", write_id, key=key)
-            self.obs.seg_begin(self.node_id, write_id, "lock_acquire")
-        params = self.params
-        meta = self.kv.meta(key)
-        yield from self.host.compute(params.host.request_overhead)
-        ts = self.issue_ts(key)
-        yield from self.host.sync_op()
-        yield meta.wrlock.acquire()  # local update atomicity only
-        yield from self.host.sync_op()
-        if meta.is_obsolete(ts):
-            meta.wrlock.release()
-            self.metrics.counters.writes_obsolete += 1
-            if self.obs is not None:
-                self.obs.seg_end(self.node_id, write_id, "lock_acquire",
-                                 obsolete=True)
-                self.obs.op_end(self.node_id, write_id, status="obsolete")
-            return WriteResult(key, ts, True, self.sim.now - started,
-                               write_id=write_id)
-        if self.obs is not None:
-            self.obs.seg_end(self.node_id, write_id, "lock_acquire")
-        msg = self.stamp(Message(type=MsgType.INV, key=key, ts=ts,
-                                 src=self.node_id, value=value, size=size,
-                                 write_id=write_id))
-        if self.obs is not None:
-            self.obs.seg_begin(self.node_id, write_id, "inv_fanout")
-        yield from self._deposit_invs(msg)  # lazy propagation
-        if self.obs is not None:
-            self.obs.seg_end(self.node_id, write_id, "inv_fanout",
-                             peers=len(self.peers))
-        yield self.host.llc.access(self.record_size(size))
-        self.kv.volatile_write(key, value, ts)
-        meta.wrlock.release()
-        if self.model.persist_in_critical_path:  # <EC, Synch>
-            if self.obs is not None:
-                self.obs.seg_begin(self.node_id, write_id, "log_append")
-            yield self.host.nvm.persist(self.record_size(size))
-            if self.obs is not None:
-                self.obs.seg_end(self.node_id, write_id, "log_append")
-            self._persist_record(key, value, ts, None)
-        else:  # <EC, Event>
-            self.spawn_bg(self._ec_background_persist(
-                key, value, ts, size=self.record_size(size)),
-                          name=self._persist_name)
-        latency = self.sim.now - started
-        self.metrics.record_write(latency)
-        self.trace("write", "complete (EC)", key=key, ts=ts,
-                   latency_s=latency)
-        if self.obs is not None:
-            self.obs.op_end(self.node_id, write_id)
-        return WriteResult(key, ts, False, latency, write_id=write_id)
-
-    def _ec_background_persist(self, key, value, ts, size=None):
-        yield self.host.nvm.persist(size or self.params.record_size)
-        self._persist_record(key, value, ts, None)
-
-    def _ec_follower_inv(self, msg: Message):
-        """⟨EC, *⟩ follower: apply unless obsolete; persist per the
-        persistency model; acknowledge nothing."""
-        meta = self.kv.meta(msg.key)
-        if meta.is_obsolete(msg.ts):
-            return
-        yield meta.wrlock.acquire()
-        yield from self.host.sync_op()
-        if meta.is_obsolete(msg.ts):
-            meta.wrlock.release()
-            return
-        yield self.host.llc.access(self.record_size(msg))
-        self.kv.volatile_write(msg.key, msg.value, msg.ts)
-        meta.wrlock.release()
-        if self.model.persist_in_critical_path:
-            yield self.host.nvm.persist(self.record_size(msg))
-            self._persist_record(msg.key, msg.value, msg.ts, None)
-        else:
-            self.spawn_bg(
-                self._ec_background_persist(msg.key, msg.value, msg.ts,
-                                            size=self.record_size(msg)),
-                name=self._persist_name)
-
-    # ======================================================================
     # Follower side (Fig. 2 right, Fig. 3 deltas)
     # ======================================================================
 
@@ -593,8 +496,6 @@ class BaselineEngine(EngineBase):
                 yield from self._answer_duplicate(msg, replies)
             elif msg.type is MsgType.PERSIST:
                 yield from self._follower_persist(msg)
-            elif self.model.is_eventual_consistency:
-                yield from self._ec_follower_inv(msg)
             else:
                 yield from self._follower_inv(msg)
         elif msg.type.is_val:

@@ -152,19 +152,6 @@ class WriteTxn:
             self._check(bucket, event)
 
 
-def validate_model(model: DDPModel) -> None:
-    """Reject ⟨consistency, persistency⟩ combinations no engine
-    implements.  Eventual consistency is supported with Synchronous
-    (persist-with-local-update) and Eventual persistency; the
-    coordination-heavy persistency models (Strict, REnf, Scope)
-    contradict EC's no-waiting write path and are left as future work."""
-    if model.is_eventual_consistency and model.persistency not in (
-            Persistency.SYNCHRONOUS, Persistency.EVENTUAL):
-        raise ProtocolError(
-            f"{model.name} is not supported: eventual consistency pairs "
-            "with Synch or Event persistency only")
-
-
 class EngineBase:
     """State and helpers common to the baseline and offload engines.
 
@@ -222,11 +209,10 @@ class EngineBase:
         #: keeps every checkpoint hook at one attribute check, so the
         #: checkpointing-off event calendar is byte-identical to seed.
         self.ckpt = None
-        #: In-flight background persist generators (Event/Scope/REnf
-        #: epilogues and the EC durability queues).  Pure Python counter
-        #: bookkeeping — it never touches the simulator calendar — used
-        #: by the checkpoint quiescence to know when the node's durable
-        #: state has stopped moving.
+        #: In-flight background persist generators (the Event/Scope/REnf
+        #: epilogues).  Pure Python counter bookkeeping — it never touches
+        #: the simulator calendar — used by the checkpoint quiescence to
+        #: know when the node's durable state has stopped moving.
         self._bg_persists = 0
         #: Lazily created Event fired when ``_bg_persists`` drains to
         #: zero; ``None`` while nobody is waiting.

@@ -2,9 +2,11 @@
 
 A DDP model pairs a consistency model with a persistency model.  The paper
 (and this reproduction) covers Linearizable consistency with five
-persistency models.  The per-model protocol deltas of Figures 3 and 7 are
-expressed here as declarative *policy properties* that both the MINOS-B
-and MINOS-O engines consult, instead of five copies of each algorithm.
+persistency models, so a :class:`DDPModel` is identified by its
+persistency alone and always prints as ``<Lin, ...>``.  The per-model
+protocol deltas of Figures 3 and 7 are expressed here as declarative
+*policy properties* that both the MINOS-B and MINOS-O engines consult,
+instead of five copies of each algorithm.
 """
 
 from __future__ import annotations
@@ -12,21 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, auto
 
-
-class Consistency(Enum):
-    """Supported consistency models.
-
-    The paper's algorithms target Linearizable consistency; EVENTUAL is
-    this reproduction's *extension* (the paper notes "space constraints
-    prevent analyzing more models"; the DDP framework it builds on also
-    pairs weaker consistency with the persistency models).
-    """
-
-    LINEARIZABLE = auto()
-    EVENTUAL = auto()
-
-    def __str__(self) -> str:
-        return "Lin" if self is Consistency.LINEARIZABLE else "EC"
+from repro.errors import ConfigError
 
 
 class Persistency(Enum):
@@ -53,21 +41,13 @@ _PERSISTENCY_NAMES = {
 
 @dataclass(frozen=True, slots=True)
 class DDPModel:
-    """A ⟨consistency, persistency⟩ pair with its protocol policy."""
+    """A ⟨Lin, persistency⟩ pair with its protocol policy."""
 
-    consistency: Consistency
     persistency: Persistency
 
     @property
     def name(self) -> str:
-        return f"<{self.consistency}, {self.persistency}>"
-
-    @property
-    def is_eventual_consistency(self) -> bool:
-        """True for the ⟨EC, *⟩ extension models: writes return after the
-        local update (plus local persist for Synch); replicas converge
-        lazily, no ACK/VAL rounds, no RDLock, reads never stall."""
-        return self.consistency is Consistency.EVENTUAL
+        return f"<Lin, {self.persistency}>"
 
     # -- policy hooks consulted by the engines ---------------------------------
 
@@ -134,39 +114,28 @@ class DDPModel:
         return self.name
 
 
-LIN = Consistency.LINEARIZABLE
-EC = Consistency.EVENTUAL
-
-LIN_SYNCH = DDPModel(LIN, Persistency.SYNCHRONOUS)
-LIN_STRICT = DDPModel(LIN, Persistency.STRICT)
-LIN_RENF = DDPModel(LIN, Persistency.READ_ENFORCED)
-LIN_EVENT = DDPModel(LIN, Persistency.EVENTUAL)
-LIN_SCOPE = DDPModel(LIN, Persistency.SCOPE)
-
-#: Extension models (not in the paper's evaluation): Eventual consistency
-#: with strict-local or lazy persistency.
-EC_SYNCH = DDPModel(EC, Persistency.SYNCHRONOUS)
-EC_EVENT = DDPModel(EC, Persistency.EVENTUAL)
+LIN_SYNCH = DDPModel(Persistency.SYNCHRONOUS)
+LIN_STRICT = DDPModel(Persistency.STRICT)
+LIN_RENF = DDPModel(Persistency.READ_ENFORCED)
+LIN_EVENT = DDPModel(Persistency.EVENTUAL)
+LIN_SCOPE = DDPModel(Persistency.SCOPE)
 
 #: All models evaluated in the paper, in its figure order.
 ALL_MODELS = (LIN_SYNCH, LIN_STRICT, LIN_RENF, LIN_EVENT, LIN_SCOPE)
 
-#: The extension combinations supported by both engines.
-EXTENSION_MODELS = (EC_SYNCH, EC_EVENT)
-
-_BY_NAME = {m.name: m for m in ALL_MODELS + EXTENSION_MODELS}
+_BY_NAME = {m.name: m for m in ALL_MODELS}
 _SHORT = {"synch": LIN_SYNCH, "strict": LIN_STRICT, "renf": LIN_RENF,
-          "event": LIN_EVENT, "scope": LIN_SCOPE,
-          "ec-synch": EC_SYNCH, "ec-event": EC_EVENT}
+          "event": LIN_EVENT, "scope": LIN_SCOPE}
 
 
 def model_by_name(name: str) -> DDPModel:
     """Look up a model by full (``"<Lin, Synch>"``) or short (``"synch"``)
-    name; raises ``KeyError`` with the valid choices otherwise."""
+    name; raises :class:`~repro.errors.ConfigError` with the valid choices
+    otherwise."""
     if name in _BY_NAME:
         return _BY_NAME[name]
     low = name.lower()
     if low in _SHORT:
         return _SHORT[low]
-    raise KeyError(f"unknown model {name!r}; choose from "
-                   f"{sorted(_SHORT)} or {sorted(_BY_NAME)}")
+    raise ConfigError(f"unknown model {name!r}; choose from "
+                      f"{sorted(_SHORT)} or {sorted(_BY_NAME)}")

@@ -23,8 +23,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.config import ProtocolConfig
-from repro.core.engine import (EngineBase, ReadResult, WriteResult,
-                               WriteTxn, validate_model)
+from repro.core.engine import EngineBase, ReadResult, WriteResult, WriteTxn
 from repro.core.messages import Message, MsgType
 from repro.core.metadata import RecordMeta
 from repro.core.model import DDPModel, Persistency
@@ -47,8 +46,8 @@ class OffloadEngine(EngineBase):
     __slots__ = ("config", "snic", "tolerate_stale_acks", "control_handler",
                  "_pending_entries", "_coord_seen", "_snic_handler_names",
                  "_hosth_name", "_vtail_name", "_dtail_name", "_cinv_name",
-                 "_cper_name", "_clocal_name", "_eclocal_name", "_dq_name",
-                 "_fdq_name", "_ecdq_name", "_done_name", "_notify_name")
+                 "_cper_name", "_clocal_name", "_dq_name", "_fdq_name",
+                 "_done_name", "_notify_name")
 
     def __init__(self, sim: Simulator, node_id: int, params: MachineParams,
                  model: DDPModel, config: ProtocolConfig, host: Host,
@@ -57,7 +56,6 @@ class OffloadEngine(EngineBase):
         super().__init__(sim, node_id, params, model, host, kv, peers, metrics)
         if not config.offload:
             raise ProtocolError("OffloadEngine requires config.offload")
-        validate_model(model)
         self.config = config
         self.snic = snic
         self.tolerate_stale_acks = False
@@ -76,10 +74,8 @@ class OffloadEngine(EngineBase):
         self._cinv_name = f"n{node_id}.snic.cinv"
         self._cper_name = f"n{node_id}.snic.cper"
         self._clocal_name = f"n{node_id}.snic.clocal"
-        self._eclocal_name = f"n{node_id}.snic.eclocal"
         self._dq_name = f"n{node_id}.snic.dq"
         self._fdq_name = f"n{node_id}.snic.fdq"
-        self._ecdq_name = f"n{node_id}.snic.ecdq"
         self._done_name = f"n{node_id}.snic.done"
         self._notify_name = f"n{node_id}.snic.notify"
         snic.start_drains(self._vfifo_apply, self._dfifo_apply)
@@ -165,9 +161,6 @@ class OffloadEngine(EngineBase):
 
         *size* overrides the machine's default record size for this
         write's payload."""
-        if self.model.is_eventual_consistency:
-            return (yield from self._client_write_eventual(key, value,
-                                                           size=size))
         started = self.sim.now
         # Minted unconditionally (not under the obs guard): attaching the
         # recorder must not shift the write ids an unobserved run assigns.
@@ -258,15 +251,14 @@ class OffloadEngine(EngineBase):
             op_id = self.obs.begin_read(self.node_id, key)
         yield from self.host.compute(params.host.request_overhead)
         meta = self.kv.meta(key)
-        if not self.model.is_eventual_consistency:
-            yield self.snic.coherent_access()
-            if not meta.rdlock_free:
-                self.metrics.counters.read_stalls += 1
-                if self.obs is not None:
-                    self.obs.seg_begin(self.node_id, op_id, "rdlock_wait")
-                yield from meta.wait_rdlock_free()
-                if self.obs is not None:
-                    self.obs.seg_end(self.node_id, op_id, "rdlock_wait")
+        yield self.snic.coherent_access()
+        if not meta.rdlock_free:
+            self.metrics.counters.read_stalls += 1
+            if self.obs is not None:
+                self.obs.seg_begin(self.node_id, op_id, "rdlock_wait")
+            yield from meta.wait_rdlock_free()
+            if self.obs is not None:
+                self.obs.seg_end(self.node_id, op_id, "rdlock_wait")
         probes = self.kv.lookup_probes(key)
         yield from self.host.compute(params.host.kv_lookup * probes)
         yield self.host.llc.access(params.record_size)
@@ -339,79 +331,6 @@ class OffloadEngine(EngineBase):
         # final notification in both modes.
 
     # ======================================================================
-    # Eventual-consistency extension (not in the paper's evaluation)
-    # ======================================================================
-
-    def _client_write_eventual(self, key: Any, value: Any,
-                               size: Optional[int] = None):
-        """⟨EC, *⟩ host half: deposit the (batched) INV; the SNIC
-        notifies completion once the local vFIFO (and, for Synch, dFIFO)
-        enqueues are done.  No ACKs are awaited from followers."""
-        started = self.sim.now
-        self.metrics.counters.writes_started += 1
-        self.trace("write", "start (EC)", key=key)
-        meta = self.kv.meta(key)
-        yield from self.host.compute(self.params.host.request_overhead)
-        yield self.snic.coherent_access()
-        ts = self.issue_ts(key)
-        if meta.is_obsolete(ts):
-            self.metrics.counters.writes_obsolete += 1
-            return WriteResult(key, ts, True, self.sim.now - started)
-        msg = self.stamp(Message(type=MsgType.INV, key=key, ts=ts,
-                                 src=self.node_id, value=value, size=size,
-                                 write_id=self.sim.next_write_id()))
-        txn = self.register_txn(key, ts, msg.write_id)
-        yield from self._host_deposit_invs(msg)
-        yield txn.host_complete
-        self._coord_seen.discard(txn.write_id)
-        self.retire_txn(txn.write_id)
-        latency = self.sim.now - started
-        self.metrics.record_write(latency)
-        self.trace("write", "complete (EC)", key=key, ts=ts,
-                   latency_s=latency)
-        return WriteResult(key, ts, False, latency, write_id=msg.write_id)
-
-    def _snic_ec_coord_local(self, txn: WriteTxn, msg: Message):
-        """SNIC local work for an EC write: enqueue, then notify the
-        host — there is nothing else to wait for."""
-        meta = self.kv.meta(msg.key)
-        size = self.record_size(msg)
-        entry = self.snic.make_entry(msg.key, msg.ts, msg.value, size,
-                                     op_id=msg.write_id)
-        meta.set_volatile(msg.ts)
-        yield from self.snic.vfifo_enqueue(entry)
-        dentry = self.snic.make_entry(msg.key, msg.ts, msg.value, size,
-                                      op_id=msg.write_id)
-        if self.model.persist_in_critical_path:  # <EC, Synch>
-            yield from self._durable_enqueue(dentry)
-        else:
-            self.spawn_bg(self._background_durable(txn, dentry, None),
-                          name=self._ecdq_name)
-        done = Message(type=MsgType.BATCHED_ACK, key=msg.key, ts=msg.ts,
-                       src=self.node_id, write_id=msg.write_id)
-        self.snic.send_to_host(done, self.params.control_size)
-
-    def _snic_ec_follower_inv(self, msg: Message):
-        """SNIC follower for an EC write: enqueue unless obsolete; no
-        acknowledgement."""
-        meta = self.kv.meta(msg.key)
-        if meta.is_obsolete(msg.ts):
-            return
-        size = self.record_size(msg)
-        entry = self.snic.make_entry(msg.key, msg.ts, msg.value, size,
-                                     op_id=msg.write_id)
-        meta.set_volatile(msg.ts)
-        yield from self.snic.vfifo_enqueue(entry)
-        dentry = self.snic.make_entry(msg.key, msg.ts, msg.value, size,
-                                      op_id=msg.write_id)
-        if self.model.persist_in_critical_path:
-            yield from self._durable_enqueue(dentry)
-        else:
-            self.spawn_bg(
-                self._background_durable_follower(dentry, None),
-                name=self._ecdq_name)
-
-    # ======================================================================
     # SNIC side: coordinator (Fig. 8 lines 15-24)
     # ======================================================================
 
@@ -454,16 +373,11 @@ class OffloadEngine(EngineBase):
         txn = self.txn(msg.write_id)
         if txn is None:
             raise ProtocolError(f"coordinator SNIC saw unregistered {msg}")
-        if not self.model.is_eventual_consistency:
-            # Retransmit timer runs SNIC-side: the SNIC owns the ACK
-            # bookkeeping, so it re-sends towards peers with missing ACKs.
-            self.watch_retransmits(txn, msg, self._snic_resend)
-        if self.model.is_eventual_consistency:
-            self.sim.spawn(self._snic_ec_coord_local(txn, msg),
-                           name=self._eclocal_name)
-        else:
-            self.sim.spawn(self._snic_coord_local(txn, msg),
-                           name=self._clocal_name)
+        # Retransmit timer runs SNIC-side: the SNIC owns the ACK
+        # bookkeeping, so it re-sends towards peers with missing ACKs.
+        self.watch_retransmits(txn, msg, self._snic_resend)
+        self.sim.spawn(self._snic_coord_local(txn, msg),
+                       name=self._clocal_name)
 
     def _snic_coord_local(self, txn: WriteTxn, msg: Message):
         """Line 17 (enqueue to vFIFO and dFIFO) plus the completion logic
@@ -710,8 +624,6 @@ class OffloadEngine(EngineBase):
                 self._snic_answer_duplicate(msg, replies)
             elif msg.type is MsgType.PERSIST:
                 yield from self._snic_follower_persist(msg)
-            elif self.model.is_eventual_consistency:
-                yield from self._snic_ec_follower_inv(msg)
             else:
                 yield from self._snic_follower_inv(msg)
         elif msg.type.is_val:

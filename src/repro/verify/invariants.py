@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Tuple
 
-from repro.core.model import Consistency, Persistency
+from repro.core.model import Persistency
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.verify.spec import ProtocolSpec
@@ -146,11 +146,7 @@ def table1_invariants(spec: "ProtocolSpec") -> List[Tuple[str, callable]]:
 
     def inv_durability_on_return(state) -> bool:
         """Synch/Strict: when the write response has returned to the
-        client, the update is persisted in every replica node.  (Under
-        the EC extension durability is local-only; see the EC
-        invariants.)"""
-        if spec.model.is_eventual_consistency:
-            return True
+        client, the update is persisted in every replica node."""
         if p not in (P.SYNCHRONOUS, P.STRICT):
             return True
         records, writes, *_ = state
@@ -165,10 +161,7 @@ def table1_invariants(spec: "ProtocolSpec") -> List[Tuple[str, callable]]:
 
     def inv_visibility_on_return(state) -> bool:
         """Linearizability: when the write response has returned, every
-        volatile replica covers the write.  (Vacuous under EC, whose
-        visibility point is the local update.)"""
-        if spec.model.is_eventual_consistency:
-            return True
+        volatile replica covers the write."""
         records, writes, *_ = state
         returned = (S.DONE, S.RETURNED, S.VALC_SENT)
         for w, wd in enumerate(writes_def):
@@ -186,8 +179,6 @@ def table1_invariants(spec: "ProtocolSpec") -> List[Tuple[str, callable]]:
         deliberately excluded: it decouples consistency and persistency,
         releasing the RDLock at VAL_C (§II-A lists only ⟨Lin, Synch⟩ and
         ⟨Lin, REnf⟩ as requiring persistency completion before reads)."""
-        if spec.model.is_eventual_consistency:
-            return True
         if p not in (P.SYNCHRONOUS, P.READ_ENFORCED):
             return True
         records, writes, *_ = state
@@ -229,33 +220,6 @@ def table1_invariants(spec: "ProtocolSpec") -> List[Tuple[str, callable]]:
                     return False
         return True
 
-    def inv_ec_local_durability(state) -> bool:
-        """Extension ⟨EC, Synch⟩: a replica's volatile state is never
-        ahead of its own durable state (persist-with-update)."""
-        if not (spec.model.is_eventual_consistency and
-                p is P.SYNCHRONOUS):
-            return True
-        records, *_ = state
-        for n in range(n_nodes):
-            for ki in range(len(spec.keys)):
-                vol, _gv, _gd, _lock, dur, vfifo = records[n][ki]
-                if dur < vol:
-                    return False
-        return True
-
-    def inv_ec_terminal_convergence(state) -> bool:
-        """Extension ⟨EC, *⟩: once everything drains, every replica
-        holds the same (newest) version — last-writer-wins."""
-        if not spec.model.is_eventual_consistency:
-            return True
-        if not spec.is_terminal(state):
-            return True
-        records, *_ = state
-        for ki in range(len(spec.keys)):
-            if len({records[n][ki][0] for n in range(n_nodes)}) != 1:
-                return False
-        return True
-
     def inv_4c_bookkeeping_legal(state) -> bool:
         """RcvedACK*_SenderID sets contain only legal follower ids."""
         _records, writes, *_ = state
@@ -277,8 +241,6 @@ def table1_invariants(spec: "ProtocolSpec") -> List[Tuple[str, callable]]:
         ("durability on client return", inv_durability_on_return),
         ("visibility on client return", inv_visibility_on_return),
         ("read enforcement", inv_read_enforcement),
-        ("EC: local durability (Synch)", inv_ec_local_durability),
-        ("EC: terminal convergence", inv_ec_terminal_convergence),
         ("4a: legal messages", inv_4a_messages_legal),
         ("4b: legal record metadata", inv_4b_metadata_legal),
         ("4c: legal ACK bookkeeping", inv_4c_bookkeeping_legal),

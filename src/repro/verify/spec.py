@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
-from repro.core.model import Consistency, DDPModel, LIN_SYNCH, Persistency
+from repro.core.model import DDPModel, LIN_SYNCH, Persistency
 from repro.errors import ConfigError
 
 P = Persistency
@@ -152,8 +152,6 @@ class ProtocolSpec:
 
     def actions(self, state):
         records, writes, msgs, tasks, persist_txn = state
-        p = self.model.persistency
-        eventual = self.model.is_eventual_consistency
         for w, wdef in enumerate(self.writes_def):
             ts, phase, acks_c, acks_p = writes[w]
             coord, ki = wdef.coord, self.key_index(wdef.key)
@@ -165,8 +163,6 @@ class ProtocolSpec:
                        (records, self._set_write(
                            writes, w, (minted, MINTED, acks_c, acks_p)),
                         msgs, tasks, persist_txn))
-            elif phase == MINTED and eventual:
-                yield from self._launch_eventual(state, w)
             elif phase == MINTED:
                 yield from self._launch_or_obsolete(state, w)
             elif phase == OBS_WAIT:
@@ -213,65 +209,6 @@ class ProtocolSpec:
                (self._set_record(records, coord, ki, new_rec),
                 self._set_write(writes, w, (ts, WAIT,) + writes[w][2:]),
                 new_msgs, new_tasks, persist_txn))
-
-    def _launch_eventual(self, state, w):
-        """⟨EC, *⟩ coordinator: apply locally (persisting atomically for
-        Synch persistency), emit the lazy INVs, and return to the client
-        — all in one step; no locks, no ACK collection."""
-        records, writes, msgs, tasks, persist_txn = state
-        wdef = self.writes_def[w]
-        coord, ki = wdef.coord, self.key_index(wdef.key)
-        ts = writes[w][0]
-        rec = records[coord][ki]
-        vol, glb_v, glb_d, rdlock, dur, vfifo = rec
-        if ts < vol:  # superseded since minting: nothing to do under EC
-            yield (f"ec_obsolete(w{w})",
-                   (records, self._set_write(
-                       writes, w, (ts,) + (OBS_DONE,) + writes[w][2:]),
-                    msgs, tasks, persist_txn))
-            return
-        synch = self.model.persistency is Persistency.SYNCHRONOUS
-        new_dur = max(dur, ts) if synch else dur
-        new_tasks = set(tasks)
-        new_vfifo = vfifo
-        if self.offload:
-            new_vfifo = vfifo | {ts}
-            new_tasks.add((T_DRAIN, w, coord))
-        if not synch:
-            new_tasks.add((T_PERSIST, w, coord))
-        new_rec = (max(vol, ts), glb_v, glb_d, rdlock, new_dur, new_vfifo)
-        yield (f"ec_launch(w{w})",
-               (self._set_record(records, coord, ki, new_rec),
-                self._set_write(writes, w, (ts, DONE,) + writes[w][2:]),
-                msgs | {(INV, w, f) for f in self.followers(coord)},
-                frozenset(new_tasks), persist_txn))
-
-    def _deliver_inv_eventual(self, state, msg):
-        records, writes, msgs, tasks, persist_txn = state
-        _t, w, node = msg
-        wdef = self.writes_def[w]
-        ki = self.key_index(wdef.key)
-        ts = writes[w][0]
-        rec = records[node][ki]
-        vol, glb_v, glb_d, rdlock, dur, vfifo = rec
-        rest = msgs - {msg}
-        if ts < vol:  # obsolete: drop silently (last-writer-wins)
-            yield (f"ec_inv_drop(w{w},n{node})",
-                   (records, writes, rest, tasks, persist_txn))
-            return
-        synch = self.model.persistency is Persistency.SYNCHRONOUS
-        new_dur = max(dur, ts) if synch else dur
-        new_tasks = set(tasks)
-        new_vfifo = vfifo
-        if self.offload:
-            new_vfifo = vfifo | {ts}
-            new_tasks.add((T_DRAIN, w, node))
-        if not synch:
-            new_tasks.add((T_PERSIST, w, node))
-        new_rec = (max(vol, ts), glb_v, glb_d, rdlock, new_dur, new_vfifo)
-        yield (f"ec_inv_apply(w{w},n{node})",
-               (self._set_record(records, node, ki, new_rec), writes,
-                rest, frozenset(new_tasks), persist_txn))
 
     def _spin_ok(self, rec, persistency_spin: bool) -> bool:
         """handleObsolete(): ConsistencySpin (+ PersistencySpin)."""
@@ -367,9 +304,7 @@ class ProtocolSpec:
 
     def _deliver(self, state, msg):
         mtype, w, node = msg
-        if mtype == INV and self.model.is_eventual_consistency:
-            yield from self._deliver_inv_eventual(state, msg)
-        elif mtype == INV:
+        if mtype == INV:
             yield from self._deliver_inv(state, msg)
         elif mtype in (ACK, ACK_C, ACK_P):
             yield from self._deliver_ack(state, msg)

@@ -126,7 +126,7 @@ class TestDurableWithoutLog:
 
 class TestRace:
     """The scanner's mediation tags, as ``flow-meta-race`` consumes
-    them (the fixtures' handlers share no happens-before edge)."""
+    them."""
 
     def test_unmediated_conflicting_access_flagged(self, finding_index):
         index = finding_index(_engine("""
@@ -136,6 +136,25 @@ class TestRace:
                 def reader(self, key, ts):
                     meta = self.kv.meta(key)
                     return meta.volatile_ts < ts
+
+                def writer(self, key, ts):
+                    meta = self.kv.meta(key)
+                    meta.set_volatile(ts)
+        """), only=["flow-meta-race"])
+        assert index["flow-meta-race"] == [(ENGINE_PATH, 7)]
+
+    def test_program_order_does_not_mediate(self, finding_index):
+        """The reader calling the writer orders one write's steps, not
+        the reader of one write against the writer of another."""
+        index = finding_index(_engine("""
+            class EngineBase: pass
+
+            class BaselineEngine(EngineBase):
+                def reader(self, key, ts):
+                    meta = self.kv.meta(key)
+                    stale = meta.volatile_ts < ts
+                    self.writer(key, ts)
+                    return stale
 
                 def writer(self, key, ts):
                     meta = self.kv.meta(key)

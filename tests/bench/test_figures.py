@@ -59,8 +59,27 @@ class TestFig13:
         assert unlimited["normalized"] == pytest.approx(1.0)
 
 
+#: Table I's explored state space at ``nodes=2``: (states, transitions)
+#: per (arch, model).  Any edit to the abstract spec that moves one of
+#: these numbers changes what Table I checks, so it must show here.
+TAB1_STATE_SPACE = {
+    ("MINOS-B", "<Lin, Synch>"): (349, 790),
+    ("MINOS-B", "<Lin, Strict>"): (2849, 10209),
+    ("MINOS-B", "<Lin, REnf>"): (1561, 5228),
+    ("MINOS-B", "<Lin, Event>"): (1096, 3644),
+    ("MINOS-B", "<Lin, Scope>"): (1202, 3903),
+    ("MINOS-O", "<Lin, Synch>"): (2969, 11899),
+    ("MINOS-O", "<Lin, Strict>"): (17549, 87214),
+    ("MINOS-O", "<Lin, REnf>"): (13661, 69247),
+    ("MINOS-O", "<Lin, Event>"): (7124, 33764),
+    ("MINOS-O", "<Lin, Scope>"): (7352, 34402),
+}
+
+
 class TestTab1:
     def test_all_models_pass(self, monkeypatch):
         rows = pooled_equals_serial(monkeypatch, lambda: tab1(nodes=2))
         assert len(rows) == 10
         assert all(r["result"] == "PASS" for r in rows)
+        assert {(r["arch"], r["model"]): (r["states"], r["transitions"])
+                for r in rows} == TAB1_STATE_SPACE

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.model import (ALL_MODELS, LIN_EVENT, LIN_RENF, LIN_SCOPE,
                               LIN_STRICT, LIN_SYNCH, model_by_name)
+from repro.errors import ConfigError
 
 
 class TestPolicies:
@@ -61,5 +62,5 @@ class TestNaming:
         assert model_by_name("<Lin, Strict>") is LIN_STRICT
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError):
             model_by_name("sequential")

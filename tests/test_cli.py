@@ -41,10 +41,23 @@ class TestExperiment:
         out = capsys.readouterr().out
         assert "write latency" in out and "breakdown" in out
 
-    def test_unknown_arch_fails_loudly(self):
-        from repro.errors import ConfigError
-        with pytest.raises(ConfigError):
-            main(["experiment", "--arch", "MINOS-X"])
+    @staticmethod
+    def assert_fails_loudly(capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_unknown_arch_fails_loudly(self, capsys):
+        self.assert_fails_loudly(capsys, ["experiment", "--arch", "MINOS-X"],
+                                 "unknown protocol config")
+
+    @pytest.mark.parametrize("command", ["check", "verify"])
+    def test_unknown_model_fails_loudly(self, capsys, command):
+        # Only the paper's five <Lin, *> models exist; an <EC, *> name
+        # is as unknown as a misspelt one.
+        self.assert_fails_loudly(capsys, [command, "--model", "<EC, Synch>"],
+                                 "unknown model")
 
 
 class TestTrace:

@@ -77,12 +77,6 @@ def test_microservice_login(capsys):
     assert "average reduction" in out
 
 
-def test_eventual_consistency_example(capsys):
-    run_example("eventual_consistency.py")
-    out = capsys.readouterr().out
-    assert "<EC, Event>" in out and "stale" in out
-
-
 def test_trace_transaction_example(capsys):
     run_example("trace_transaction.py")
     out = capsys.readouterr().out

@@ -4,7 +4,6 @@ import pytest
 
 from repro import (ALL_MODELS, LIN_SYNCH, MINOS_B, MINOS_O, MinosCluster,
                    YcsbWorkload)
-from repro.core.model import EXTENSION_MODELS
 from repro.core.timestamp import Timestamp
 from repro.errors import VerificationError
 from repro.hw.params import MachineParams
@@ -26,21 +25,6 @@ class TestCleanRuns:
         cluster.sim.run()  # drain background persists / drains
         monitor.check_quiescent()
         assert monitor.checks_run == 4
-
-    @pytest.mark.parametrize("config", ARCHES, ids=lambda c: c.name)
-    @pytest.mark.parametrize("model", EXTENSION_MODELS,
-                             ids=lambda m: m.name)
-    def test_extension_models_satisfy_agreement(self, config, model):
-        cluster = MinosCluster(model=model, config=config,
-                               params=MachineParams(nodes=3))
-        monitor = RuntimeMonitor(cluster)
-        workload = YcsbWorkload(records=20, requests_per_client=15,
-                                write_fraction=0.7, seed=23)
-        cluster.run_workload(workload, clients_per_node=2)
-        cluster.sim.run()
-        monitor.check_agreement()
-        monitor.check_durability()
-        monitor.check_locks_released()
 
 
 class TestViolationDetection:
