@@ -68,9 +68,6 @@ _EXPORTS = {
     "cascading_crashes": "repro.faults",
     "flapping_partition": "repro.faults",
     "run_chaos": "repro.faults",
-    "CheckpointConfig": "repro.ckpt",
-    "CheckpointLine": "repro.ckpt",
-    "CheckpointManager": "repro.ckpt",
     "ModelChecker": "repro.verify",
     "ProtocolSpec": "repro.verify",
     "WriteDef": "repro.verify",

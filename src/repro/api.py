@@ -24,13 +24,6 @@ The surface, by theme:
   plan builders :func:`cascading_crashes` / :func:`flapping_partition`,
   and :class:`DisasterSpec` for mid-run multi-node crashes rolled back
   through :meth:`RecoveryManager.restore_cluster`.
-* **Checkpointing** — :class:`CheckpointConfig` (enable via
-  :meth:`MinosCluster.enable_checkpoints`), the
-  :class:`CheckpointManager` it installs (coordinated CKPT/CKPT_ACK
-  barrier rounds + communication-induced log truncation), and the
-  :class:`CheckpointLine` records of completed rounds; rollback
-  legality is checked by :func:`check_rollback` /
-  :func:`restore_line` (see docs/checkpointing.md).
 * **Verification** — :class:`ModelChecker` over a :class:`ProtocolSpec`
   of concurrent :class:`WriteDef` s (the Table I invariants).
 * **Correctness checking** — :func:`run_check` (schedule/crash
@@ -40,6 +33,8 @@ The surface, by theme:
   capture them, :func:`check_linearizability`
   (:class:`LinearizabilityReport`), :func:`check_durability`
   (:class:`DurabilityReport`, per-persistency-model crash rules),
+  :func:`check_rollback` / :func:`restore_line` for multi-node and
+  whole-cluster rollback from the surviving NVM logs,
   :func:`shrink_history` for counterexample minimization, and
   :class:`CheckWorkload` (see docs/correctness_checking.md).
 * **Microservices** — :data:`MEDIA_LOGIN` / :data:`SOCIAL_LOGIN`
@@ -68,7 +63,6 @@ from repro.check import (CheckReport, CheckWorkload, DurabilityReport,
                          check_durability, check_linearizability,
                          check_rollback, restore_line, run_check,
                          shrink_history)
-from repro.ckpt import CheckpointConfig, CheckpointLine, CheckpointManager
 from repro.cluster.cluster import MinosCluster
 from repro.cluster.results import OpResult
 from repro.core.config import (MINOS_B, MINOS_O, ProtocolConfig,
@@ -124,10 +118,6 @@ __all__ = [
     "flapping_partition",
     "run_chaos",
     "RecoveryManager",
-    # checkpointing
-    "CheckpointConfig",
-    "CheckpointLine",
-    "CheckpointManager",
     # verification
     "ModelChecker",
     "ProtocolSpec",

@@ -41,10 +41,6 @@ class ExperimentConfig:
     persist_every: Optional[int] = None
     #: Per-write payload size in bytes (None: machine default, 1 KB).
     value_size: Optional[int] = None
-    #: Coordinated checkpointing / CIC truncation for the run (a
-    #: :class:`repro.ckpt.CheckpointConfig`); ``None`` keeps the hook
-    #: inert and the calendar byte-identical.
-    checkpoints: Optional[object] = None
 
     def label(self) -> str:
         return (f"{self.config.name}/{self.model}/n{self.nodes}"
@@ -84,8 +80,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     machine = config.machine.with_nodes(config.nodes)
     cluster = MinosCluster(model=config.model, config=config.config,
                            params=machine)
-    if config.checkpoints is not None:
-        cluster.enable_checkpoints(config.checkpoints)
     workload = YcsbWorkload(records=config.records,
                             requests_per_client=config.requests_per_client,
                             write_fraction=config.write_fraction,

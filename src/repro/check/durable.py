@@ -200,12 +200,12 @@ def check_rollback(model: DDPModel, history: History, crash_time: float,
                    snapshots: Dict[int, Dict[Any, Tuple[Any, Any]]],
                    initial: Optional[Dict[Any, Any]] = None
                    ) -> DurabilityReport:
-    """Checkpoint-aware rollback legality: which acked writes may a
-    rollback to the restore line legally lose under *model*?
+    """Rollback legality: which acked writes may a rollback to the
+    restore line legally lose under *model*?
 
     *snapshots* is ``{node_id: {key: (ts, value)}}`` — every node's
-    surviving durable state (checkpoint image + live log tail) at the
-    crash instant, covering multi-node and whole-cluster crashes where
+    surviving durable state (the fold of its NVM log) at the crash
+    instant, covering multi-node and whole-cluster crashes where
     no single victim's log tells the story.  Two rule families:
 
     ``rollback-floor``
@@ -218,8 +218,8 @@ def check_rollback(model: DDPModel, history: History, crash_time: float,
     ``rollback-validity``
         Prefix survival, per node: every surviving ``(ts, value)`` pair
         on every node must be a version some client actually wrote (or
-        the initial image) — a checkpoint image may only ever *truncate*
-        history, never invent or corrupt it.
+        the initial image) — a torn NVM write or a bad catch-up ingest
+        may never invent or corrupt a version.
     """
     initial = initial or {}
     report = DurabilityReport(model=model.name, crash_time=crash_time)

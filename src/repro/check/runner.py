@@ -172,8 +172,7 @@ def _one_run(model, config, nodes: int, workload: CheckWorkload,
              plan_seed: int, crash_at: Optional[float], label: str,
              clients_per_node: int, delay: float, reorder: float,
              recover_after: float, max_time: float, settle: float,
-             setup=None, victims: int = 1,
-             checkpoints=None) -> _RunData:
+             setup=None, victims: int = 1) -> _RunData:
     from repro.cluster.cluster import MinosCluster
     from repro.core.recovery import RecoveryManager
     from repro.faults import FaultPlan, LinkFaults
@@ -184,8 +183,6 @@ def _one_run(model, config, nodes: int, workload: CheckWorkload,
     obs = cluster.attach_obs()
     if setup is not None:
         setup(cluster)
-    if checkpoints is not None:
-        cluster.enable_checkpoints(checkpoints)
     manager = RecoveryManager(cluster, heartbeat_interval=us(20),
                               timeout=us(100))
     plan = FaultPlan(seed=plan_seed,
@@ -219,9 +216,8 @@ def _one_run(model, config, nodes: int, workload: CheckWorkload,
 
     def crash_driver():
         yield sim.timeout(crash_at - sim.now)
-        # Snapshot every node's surviving durable state (checkpoint
-        # image + live log tail) at the crash instant — what the NVM
-        # actually holds is exactly what the durability floor and the
+        # Snapshot every node's surviving durable state (its NVM log)
+        # at the crash instant — what the NVM actually holds is exactly what the durability floor and the
         # rollback rules are claims about.
         for node in cluster.nodes:
             snapshots[node.node_id] = {
@@ -282,7 +278,7 @@ def _one_run(model, config, nodes: int, workload: CheckWorkload,
             probes.append(rec)
 
     history = recorder.history()
-    # Checkpoint-aware durable linearizability for disaster runs:
+    # Rollback-aware durable linearizability for disaster runs:
     # rollback recovery legally rewinds every key to the restore line
     # (under Event/Scope even *acked* writes may be lost), which a
     # classic register linearization cannot express — a post-restore
@@ -416,7 +412,7 @@ def run_check(model="synch", config="MINOS-B", nodes: int = 3,
               recover_after: float = us(300), settle: float = us(3_000),
               max_time: float = us(300_000),
               export: Optional[str] = None, setup=None,
-              victims: int = 1, checkpoints=None) -> CheckReport:
+              victims: int = 1) -> CheckReport:
     """Explore schedules and crash points; check every history.
 
     *setup* (when given) is called with each freshly built cluster
@@ -427,11 +423,9 @@ def run_check(model="synch", config="MINOS-B", nodes: int = 3,
     last *victims* nodes (up to the whole cluster) crash at once, the
     run restores via
     :meth:`~repro.core.recovery.RecoveryManager.restore_cluster`
-    rollback recovery, and the surviving state is judged by the
-    checkpoint-aware :func:`~repro.check.durable.check_rollback` rules
-    instead of the single-victim durability floor.  *checkpoints* (a
-    :class:`~repro.ckpt.CheckpointConfig`) enables coordinated
-    checkpointing / CIC truncation inside every explored run.
+    rollback recovery from every node's NVM log, and the surviving
+    state is judged by the :func:`~repro.check.durable.check_rollback`
+    rules instead of the single-victim durability floor.
 
     Returns a :class:`CheckReport`; ``report.ok`` is the verdict and
     ``report.counterexample`` holds the shrunk failing schedule (plus
@@ -465,7 +459,7 @@ def run_check(model="synch", config="MINOS-B", nodes: int = 3,
                       clients_per_node=clients_per_node, delay=delay,
                       reorder=reorder, recover_after=recover_after,
                       max_time=max_time, settle=settle, setup=setup,
-                      victims=victims, checkpoints=checkpoints)
+                      victims=victims)
         baseline = _one_run(crash_at=None, label=f"seed{seed}", **common)
         record(baseline)
         if crash_points == "none":

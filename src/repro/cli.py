@@ -12,15 +12,13 @@ Commands:
   (durable) linearizability; failures shrink to a minimal
   counterexample and export a Perfetto trace.  ``--victims K`` crashes
   K nodes (up to the whole cluster) at each explored crash point and
-  judges the rollback with the checkpoint-aware rule families.
+  judges the rollback to the surviving NVM logs with the rollback rule
+  families.
 * ``chaos``      — run a workload under seeded fault injection
   (loss/duplication/delay + crash/restart) and check the runtime
   invariants afterwards; ``--disaster K`` additionally crashes the
-  last K nodes at once mid-run and rolls them back through
-  restore-from-checkpoint while the survivors stay under load.
-* ``ckpt``       — run a workload with coordinated checkpointing /
-  communication-induced log truncation enabled and report the
-  checkpoint lines and truncation statistics.
+  last K nodes at once mid-run and rolls them back to their NVM logs
+  while the survivors stay under load.
 * ``trace``      — trace a single replicated write and print the
   per-node protocol timeline; ``--export`` additionally writes a
   Chrome trace-event JSON (Perfetto-loadable).
@@ -133,37 +131,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="restart time in us (-1: stay down)")
     chaos.add_argument("--disaster", type=int, default=0, metavar="K",
                        help="crash the last K nodes at once mid-run and "
-                       "roll them back via restore-from-checkpoint "
-                       "while the surviving clients stay under load "
+                       "roll them back to their NVM logs while the "
+                       "surviving clients stay under load "
                        "(0: off)")
     chaos.add_argument("--disaster-at", type=float, default=600.0,
                        help="disaster time in us")
     chaos.add_argument("--disaster-down", type=float, default=300.0,
                        help="us the disaster victims stay down before "
                        "the rollback restore")
-    chaos.add_argument("--ckpt-interval", type=float, default=None,
-                       help="enable coordinated checkpointing with this "
-                       "round interval in us")
-    chaos.add_argument("--ckpt-watermark", type=int, default=0,
-                       help="log-size watermark for communication-"
-                       "induced checkpoints (0: off)")
-
-    ckpt = sub.add_parser(
-        "ckpt", help="run a workload with coordinated checkpointing / "
-        "CIC log truncation and report lines + truncation stats")
-    _add_experiment_args(ckpt, nodes=4, records=50, requests=30,
-                         clients=2, write_fraction=0.8)
-    ckpt.add_argument("--interval", type=float, default=200.0,
-                      help="coordinated-round interval in us (-1: "
-                      "on-demand rounds only)")
-    ckpt.add_argument("--watermark", type=int, default=0,
-                      help="log-size watermark for communication-"
-                      "induced checkpoints (0: off)")
-    ckpt.add_argument("--coordinator", type=int, default=0,
-                      help="node id that initiates coordinated rounds")
-    ckpt.add_argument("--rounds", type=int, default=1,
-                      help="extra on-demand rounds after the workload "
-                      "drains")
 
     verify = sub.add_parser("verify", help="model-check a protocol")
     verify.add_argument("--model", default="synch")
@@ -208,14 +183,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--victims", type=int, default=1,
                        help="nodes crashed at each explored crash point; "
                        ">1 switches to disaster mode (rollback recovery "
-                       "to the latest checkpoint line, up to the whole "
+                       "to the surviving NVM logs, up to the whole "
                        "cluster)")
-    check.add_argument("--ckpt-interval", type=float, default=None,
-                       metavar="US", help="enable coordinated checkpoint "
-                       "rounds every US inside every explored run")
-    check.add_argument("--ckpt-watermark", type=int, default=0,
-                       help="enable CIC truncation once a live log "
-                       "crosses this many entries")
     check.add_argument("--export", default=None, metavar="PREFIX",
                        dest="export_path",
                        help="on failure, write PREFIX.trace.json "
@@ -353,14 +322,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                             distribution=config.distribution,
                             seed=config.seed,
                             value_size=config.value_size)
-    checkpoints = None
-    if args.ckpt_interval is not None or args.ckpt_watermark:
-        from repro.ckpt import CheckpointConfig
-
-        interval = (None if args.ckpt_interval is None
-                    or args.ckpt_interval < 0 else us(args.ckpt_interval))
-        checkpoints = CheckpointConfig(interval=interval,
-                                       watermark=args.ckpt_watermark)
     disaster = None
     if args.disaster:
         disaster = DisasterSpec(at=us(args.disaster_at),
@@ -368,7 +329,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                                 down_for=us(args.disaster_down))
     result = run_chaos(cluster, plan, workload,
                        clients_per_node=config.clients_per_node,
-                       checkpoints=checkpoints, disaster=disaster)
+                       disaster=disaster)
     if args.json:
         import json
 
@@ -391,10 +352,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
           "duplicates suppressed")
     print(f"  recovery      : {result.detections} detections, "
           f"{result.rejoins} rejoins")
-    if result.restored or result.checkpoint_rounds:
-        print(f"  checkpointing : {result.checkpoint_rounds} fences, "
-              f"{result.restored} nodes rolled back, peak log length "
-              f"{result.peak_log_length}")
+    if result.restored:
+        print(f"  rollback      : {result.restored} nodes rolled back, "
+              f"peak log length {result.peak_log_length}")
     print(f"  workload      : completed={result.completed} "
           f"writes={counters.writes_completed} "
           f"reads={counters.reads_completed}")
@@ -403,99 +363,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     for violation in result.violations:
         print(f"  VIOLATION: {violation}")
     return 0 if result.ok else 1
-
-
-def _cmd_ckpt(args: argparse.Namespace) -> int:
-    from repro.ckpt import CheckpointConfig
-    from repro.cluster.client import ClosedLoopClient
-    from repro.cluster.cluster import MinosCluster
-    from repro.hw.params import us
-    from repro.workloads.ycsb import YcsbWorkload
-
-    config = _experiment_config(args)
-    cluster = MinosCluster(model=config.model, config=config.config,
-                           params=config.machine.with_nodes(config.nodes))
-    sim = cluster.sim
-    interval = None if args.interval < 0 else us(args.interval)
-    manager = cluster.enable_checkpoints(CheckpointConfig(
-        interval=interval, watermark=args.watermark,
-        coordinator=args.coordinator))
-    workload = YcsbWorkload(records=config.records,
-                            requests_per_client=config.requests_per_client,
-                            write_fraction=config.write_fraction,
-                            distribution=config.distribution,
-                            seed=config.seed,
-                            value_size=config.value_size)
-    # The periodic round driver never terminates, so the calendar never
-    # drains on its own — advance in slices like the chaos harness.
-    cluster.load_records(workload.initial_records())
-    clients = []
-    for node in cluster.nodes:
-        for client_idx in range(config.clients_per_node):
-            ops = workload.ops_for(node.node_id, client_idx)
-            clients.append(ClosedLoopClient(cluster, node.engine, ops,
-                                            client_idx))
-    metrics = cluster.metrics
-    metrics.started_at = sim.now
-    drivers = [sim.spawn(c.run(), name=f"ckpt.client.{i}")
-               for i, c in enumerate(clients)]
-    slice_s, max_time = us(2_000), us(500_000)
-    while (not all(d.triggered for d in drivers)) and sim.now < max_time:
-        sim.run(until=min(max_time, sim.now + slice_s))
-    metrics.finished_at = max(
-        (c.finished_at for c in clients if c.finished_at is not None),
-        default=sim.now)
-    for _ in range(max(0, args.rounds)):
-        cluster.sim.run_process(manager.checkpoint_now(),
-                                name="cli.ckpt.round")
-    truncated = {node.node_id: node.kv.log.truncated_total
-                 for node in cluster.nodes}
-    peaks = {node.node_id: node.kv.log.peak_length
-             for node in cluster.nodes}
-    live = {node.node_id: len(node.kv.log) for node in cluster.nodes}
-    if args.json:
-        import json
-
-        payload = {
-            "schema": "repro-ckpt/1",
-            "experiment": (f"{args.arch}/{args.model} "
-                           f"nodes={args.nodes} seed={args.seed}"),
-            "rounds_started": manager.rounds_started,
-            "rounds_completed": manager.rounds_completed,
-            "cic_checkpoints": manager.cic_checkpoints,
-            "lines": [{"round": line.round_id,
-                       "initiated_at": line.initiated_at,
-                       "completed_at": line.completed_at,
-                       "acked": line.acked,
-                       "serials": {str(k): v
-                                   for k, v in line.serials.items()}}
-                      for line in manager.lines],
-            "log_truncated_entries": truncated,
-            "log_peak_length": peaks,
-            "log_live_length": live,
-            "write_throughput": metrics.write_throughput(),
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(f"ckpt: {args.arch} {cluster.model.name} nodes={args.nodes} "
-          f"seed={args.seed}")
-    print(f"  rounds        : {manager.rounds_completed} completed / "
-          f"{manager.rounds_started} started, "
-          f"{manager.cic_checkpoints} CIC fences")
-    for line in manager.lines:
-        state = (f"complete @ {line.completed_at * 1e6:.1f}us"
-                 if line.complete else "incomplete")
-        print(f"  line {line.round_id:3d}      : {state}, "
-              f"{len(line.serials)} fences, acked by {line.acked}")
-    print(f"  truncated     : " + ", ".join(
-        f"n{n}={truncated[n]}" for n in sorted(truncated)))
-    print(f"  peak log      : " + ", ".join(
-        f"n{n}={peaks[n]}" for n in sorted(peaks)))
-    print(f"  live log      : " + ", ".join(
-        f"n{n}={live[n]}" for n in sorted(live)))
-    print(f"  write tput    : {metrics.write_throughput() / 1e3:.1f} "
-          "kops/s")
-    return 0
 
 
 def _resolve_arch(args: argparse.Namespace) -> str:
@@ -545,17 +412,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.check import run_check
-    from repro.hw.params import us
 
     arch = _resolve_arch(args)
-    checkpoints = None
-    if args.ckpt_interval is not None or args.ckpt_watermark:
-        from repro.ckpt import CheckpointConfig
-
-        interval = (None if args.ckpt_interval is None
-                    or args.ckpt_interval < 0 else us(args.ckpt_interval))
-        checkpoints = CheckpointConfig(interval=interval,
-                                       watermark=args.ckpt_watermark)
     report = run_check(model=args.model, config=arch, nodes=args.nodes,
                        ops_per_client=args.ops,
                        clients_per_node=args.clients, keys=args.keys,
@@ -563,8 +421,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                        seeds=args.seeds, base_seed=args.seed,
                        crash_points=args.crash_points,
                        crash_trials=args.crash_trials,
-                       victims=args.victims, checkpoints=checkpoints,
-                       export=args.export_path)
+                       victims=args.victims, export=args.export_path)
     if args.json:
         import json
 
@@ -795,7 +652,6 @@ def _cmd_configs(_args: argparse.Namespace) -> int:
 _COMMANDS = {
     "chaos": _cmd_chaos,
     "check": _cmd_check,
-    "ckpt": _cmd_ckpt,
     "experiment": _cmd_experiment,
     "figure": _cmd_figure,
     "lint": _cmd_lint,

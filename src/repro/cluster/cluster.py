@@ -113,8 +113,6 @@ class MinosCluster:
         self.tracer = None
         #: Attached :class:`repro.obs.Observability` (None: detached).
         self.obs = None
-        #: Installed :class:`repro.ckpt.CheckpointManager` (None: off).
-        self.checkpoints = None
 
     def attach_tracer(self):
         """Attach a :class:`repro.trace.Tracer` to every engine (and the
@@ -184,36 +182,6 @@ class MinosCluster:
             node.engine.tolerate_stale_acks = True
         injector.schedule_crashes(self, manager)
         return injector
-
-    # -- checkpointing ----------------------------------------------------------
-
-    def enable_checkpoints(self, config=None):
-        """Enable coordinated checkpointing / CIC log truncation.
-
-        Builds a :class:`repro.ckpt.CheckpointManager` from *config* (a
-        :class:`repro.ckpt.CheckpointConfig`; default: on-demand rounds
-        only) and attaches it as every engine's ``ckpt`` hook.  With no
-        manager attached — the default — every checkpoint hook costs one
-        attribute check and the event calendar is byte-identical to a
-        build without this subsystem (``tests/ckpt``).
-
-        Returns the manager (drive rounds via ``checkpoint_now()``;
-        completed lines land in ``manager.lines``).
-        """
-        from repro.ckpt import CheckpointConfig, CheckpointManager
-
-        if self.checkpoints is not None:
-            raise ConfigError("checkpointing already enabled")
-        if config is None:
-            config = CheckpointConfig()
-        if not 0 <= config.coordinator < len(self.nodes):
-            raise ConfigError(
-                f"checkpoint coordinator {config.coordinator} is not a "
-                f"cluster node (0..{len(self.nodes) - 1})")
-        manager = CheckpointManager(self, config)
-        self.checkpoints = manager
-        manager.attach()
-        return manager
 
     # -- database ---------------------------------------------------------------
 

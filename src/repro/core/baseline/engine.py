@@ -224,7 +224,7 @@ class BaselineEngine(EngineBase):
         else:  # REnf, Event, Scope: persist in the background (Fig. 3)
             scope_event = (self.scope_tracker.register_write(scope)
                            if scope is not None else None)
-            self.spawn_bg(
+            self.sim.spawn(
                 self._background_persist(key, value, ts, scope, txn,
                                          scope_event,
                                          size=self.record_size(size)),
@@ -244,8 +244,6 @@ class BaselineEngine(EngineBase):
         self.metrics.counters.persists += 1
         if self.tracer is not None:
             self.trace("persist", "NVM", key=key, ts=ts)
-        if self.ckpt is not None:
-            self.ckpt.on_persist(self)
 
     def _local_persist(self, key, value, ts, scope, txn: WriteTxn) -> None:
         self._persist_record(key, value, ts, scope)
@@ -500,14 +498,6 @@ class BaselineEngine(EngineBase):
                 yield from self._follower_inv(msg)
         elif msg.type.is_val:
             yield from self._follower_val(msg)
-        elif msg.type is MsgType.CKPT:
-            replies = self.dedup_inv(msg)
-            if replies is not None:
-                yield from self._answer_duplicate(msg, replies)
-            else:
-                yield from self._follower_ckpt(msg)
-        elif msg.type is MsgType.CKPT_ACK:
-            yield from self._handle_ckpt_ack(msg)
         else:
             raise ProtocolError(f"unhandled message {msg}")
 
@@ -609,14 +599,14 @@ class BaselineEngine(EngineBase):
             yield from self._reply(msg, MsgType.ACK_P)
         elif p is P.READ_ENFORCED:
             yield from self._reply(msg, MsgType.ACK_C)
-            self.spawn_bg(self._renf_follower_persist(msg),
-                          name=self._persist_name)
+            self.sim.spawn(self._renf_follower_persist(msg),
+                           name=self._persist_name)
         else:  # EVENTUAL, SCOPE
             yield from self._reply(msg, MsgType.ACK_C)
             scope_event = (self.scope_tracker.register_write(msg.scope)
                            if msg.scope is not None else None)
-            self.spawn_bg(self._eventual_persist(msg, scope_event),
-                          name=self._persist_name)
+            self.sim.spawn(self._eventual_persist(msg, scope_event),
+                           name=self._persist_name)
 
     def _renf_follower_persist(self, msg: Message):
         """REnf: persist off the critical path, then send ACK_P."""
@@ -668,40 +658,3 @@ class BaselineEngine(EngineBase):
         yield from self.scope_tracker.wait_scope_durable(msg.scope)
         yield self.host.nvm.persist(self.params.control_size)
         yield from self._reply(msg, MsgType.ACK_P)
-
-    # ======================================================================
-    # Checkpoint barrier (repro.ckpt): CKPT / CKPT_ACK handling
-    # ======================================================================
-
-    def ckpt_initiate(self, round_id: int):
-        """Coordinator side of one checkpoint round: quiesce per the
-        persistency model, fence the local NvmLog, then broadcast the
-        barrier request.  The CKPT message is built *here* (not in the
-        CheckpointManager) so the protocol-flow analysis sees the send."""
-        yield from self.ckpt_quiesce()
-        yield self.host.nvm.persist(self.params.control_size)  # fence record
-        if self.ckpt is not None:
-            self.ckpt.local_checkpoint(self, round_id=round_id)
-        msg = self.stamp(Message(type=MsgType.CKPT, key=None, ts=NULL_TS,
-                                 src=self.node_id, persist_id=round_id,
-                                 write_id=self.sim.next_write_id()))
-        if self.ckpt is not None:
-            self.ckpt.register_round_msg(round_id, msg)
-        yield from self._deposit_fanout(msg, self.params.control_size)
-
-    def _follower_ckpt(self, msg: Message):
-        """Checkpoint barrier at a Follower: quiesce per the persistency
-        model, fence the local NvmLog, then acknowledge the round."""
-        yield from self.ckpt_quiesce()
-        yield self.host.nvm.persist(self.params.control_size)  # fence record
-        if self.ckpt is not None:
-            self.ckpt.local_checkpoint(self, round_id=msg.persist_id)
-        yield from self._reply(msg, MsgType.CKPT_ACK)
-
-    def _handle_ckpt_ack(self, msg: Message):
-        """A follower's barrier acknowledgement, forwarded to the
-        CheckpointManager (idempotent: duplicate acks are set-absorbed)."""
-        if self.ckpt is not None:
-            self.ckpt.on_ack(msg)
-        return
-        yield  # pragma: no cover - generator marker

@@ -168,8 +168,7 @@ class EngineBase:
                  "peers", "metrics", "scope_tracker", "_txns",
                  "_last_version", "crashed", "tracer", "obs",
                  "robustness", "_seq_counter", "_inv_replies",
-                 "_inv_reply_order", "ckpt", "_bg_persists",
-                 "_bg_drained", "incarnation")
+                 "_inv_reply_order", "incarnation")
 
     def __init__(self, sim: Simulator, node_id: int, params: MachineParams,
                  model: DDPModel, host: Host, kv: MinosKV,
@@ -204,19 +203,6 @@ class EngineBase:
         #: retransmit timers, no dedup bookkeeping, so the fault-free
         #: event calendar is untouched.
         self.robustness = None
-        #: Optional repro.ckpt.CheckpointManager — set by
-        #: ``MinosCluster.enable_checkpoints``.  ``None`` (the default)
-        #: keeps every checkpoint hook at one attribute check, so the
-        #: checkpointing-off event calendar is byte-identical to seed.
-        self.ckpt = None
-        #: In-flight background persist generators (the Event/Scope/REnf
-        #: epilogues).  Pure Python counter bookkeeping — it never touches
-        #: the simulator calendar — used by the checkpoint quiescence to
-        #: know when the node's durable state has stopped moving.
-        self._bg_persists = 0
-        #: Lazily created Event fired when ``_bg_persists`` drains to
-        #: zero; ``None`` while nobody is waiting.
-        self._bg_drained = None
         self._seq_counter = itertools.count(1)
         #: Follower-side INV dedup: (src, seq) -> ACK replies already sent
         #: for that INV, so a duplicate delivery re-sends the recorded
@@ -352,53 +338,6 @@ class EngineBase:
             self.sim.spawn(self._retransmit_loop(txn, msg, resend),
                            name=f"n{self.node_id}.rtx.w{txn.write_id}")
 
-    # -- checkpoint quiescence (repro.ckpt; no-op without a manager) ---------
-
-    def spawn_bg(self, gen, name: str) -> None:
-        """Spawn a background durability generator, tracked for
-        checkpoint quiescence.  The wrapper adds no simulator events —
-        the counter is plain Python state — so runs without a
-        CheckpointManager keep a byte-identical event calendar."""
-        self.sim.spawn(self._bg_wrap(gen), name=name)
-
-    def _bg_wrap(self, gen):
-        self._bg_persists += 1
-        try:
-            yield from gen
-        finally:
-            self._bg_persists -= 1
-            if self._bg_persists == 0 and self._bg_drained is not None:
-                event, self._bg_drained = self._bg_drained, None
-                if not event.triggered:
-                    event.succeed()
-
-    def wait_background_drained(self):
-        """Wait until every tracked background persist has finished."""
-        while self._bg_persists > 0:
-            if self._bg_drained is None:
-                self._bg_drained = Event(self.sim)
-            yield self._bg_drained
-
-    def ckpt_quiesce(self):
-        """Persistency-model-aware quiescence before fencing a
-        checkpoint (arXiv 2208.02411: which checkpoints are legal
-        depends on the active persistency model).
-
-        * Synch / Strict — persistence is on the critical path of every
-          acked write, so the node may fence at any instant.
-        * REnf / Event — drain the in-flight background persists so the
-          fenced image reflects every locally started epilogue.
-        * Scope — additionally close every open scope (the
-          ``[PERSIST]sc`` closure logic) so no scope's validity
-          dependencies straddle the fence.
-        """
-        if self.model.persist_in_critical_path:
-            return
-        yield from self.wait_background_drained()
-        if self.model.uses_scopes:
-            yield from self.scope_tracker.drain_open_scopes()
-            yield from self.wait_background_drained()
-
     # -- timestamps -----------------------------------------------------------
 
     def issue_ts(self, key: Any) -> Timestamp:
@@ -441,21 +380,6 @@ class EngineBase:
     def retire_txn(self, write_id: int) -> None:
         self._txns.pop(write_id, None)
 
-    def client_complete_event(self, txn: WriteTxn) -> Event:
-        """The event whose firing lets the write response return to the
-        client (paper §II-A "Brief Model Definitions"):
-
-        * Synch  — all (combined) ACKs: updated **and** persisted.
-        * Strict — all ACK_Cs and all ACK_Ps.
-        * REnf / Event / Scope — all ACK_Cs: replicas updated.
-        """
-        persistency = self.model.persistency
-        if persistency is Persistency.SYNCHRONOUS:
-            return txn.all_acks
-        if persistency is Persistency.STRICT:
-            return self.sim.all_of([txn.all_ack_cs, txn.all_ack_ps])
-        return txn.all_ack_cs
-
     # -- handleObsolete (paper Fig. 2 lines 1-3 / 23-25) ----------------------------
 
     def handle_obsolete(self, meta: RecordMeta):
@@ -466,10 +390,6 @@ class EngineBase:
             yield from meta.persistency_spin()
 
     # -- misc ------------------------------------------------------------------------
-
-    @property
-    def cluster_size(self) -> int:
-        return len(self.peers) + 1
 
     def record_read_metrics(self, started: float) -> float:
         latency = self.sim.now - started

@@ -8,11 +8,6 @@ The legal message vocabulary is::
 Scoped variants are the same :class:`MsgType` with a non-``None``
 ``scope`` field.  ``BATCHED_ACK`` is the MINOS-O SNIC→host completion
 notification (§V-B.3) — it never crosses the network.
-
-``CKPT`` / ``CKPT_ACK`` extend the vocabulary with the coordinated
-checkpoint barrier (:mod:`repro.ckpt`): they ride the same network
-fabric and are therefore NETWORK_LEGAL, but carry no key or value —
-``persist_id`` doubles as the checkpoint round id.
 """
 
 from __future__ import annotations
@@ -48,12 +43,6 @@ class MsgType(Enum):
     PERSIST = auto()
     #: SNIC -> host only: "all ACKs in, your write is complete".
     BATCHED_ACK = auto()
-    #: Checkpoint barrier request (coordinator -> followers): "quiesce,
-    #: fence your NvmLog, then acknowledge".  ``persist_id`` carries the
-    #: checkpoint round id.
-    CKPT = auto()
-    #: Follower -> coordinator: "my checkpoint for this round is fenced".
-    CKPT_ACK = auto()
 
 
 # ``is_ack`` / ``is_val`` are plain member attributes, not properties:
@@ -69,7 +58,6 @@ del _member
 NETWORK_LEGAL = frozenset({
     MsgType.INV, MsgType.ACK, MsgType.ACK_C, MsgType.ACK_P,
     MsgType.VAL, MsgType.VAL_C, MsgType.VAL_P, MsgType.PERSIST,
-    MsgType.CKPT, MsgType.CKPT_ACK,
 })
 
 

@@ -141,8 +141,6 @@ class OffloadEngine(EngineBase):
         if self.tracer is not None:
             self.trace("persist", "dFIFO (durable)", key=entry.key,
                        ts=entry.ts)
-        if self.ckpt is not None:
-            self.ckpt.on_persist(self)
 
     # ======================================================================
     # Host side (Fig. 8 lines 4-14)
@@ -406,7 +404,7 @@ class OffloadEngine(EngineBase):
             yield from self._durable_enqueue(dentry)
             self._finish_local_persist(txn, scope_event)
         else:
-            self.spawn_bg(
+            self.sim.spawn(
                 self._background_durable(txn, dentry, scope_event),
                 name=self._dq_name)
         self.sim.spawn(self._snic_coord_completion(txn, meta, entry, msg),
@@ -628,14 +626,6 @@ class OffloadEngine(EngineBase):
                 yield from self._snic_follower_inv(msg)
         elif msg.type.is_val:
             yield from self._snic_follower_val(msg)
-        elif msg.type is MsgType.CKPT:
-            replies = self.dedup_inv(msg)
-            if replies is not None:
-                self._snic_answer_duplicate(msg, replies)
-            else:
-                yield from self._snic_follower_ckpt(msg)
-        elif msg.type is MsgType.CKPT_ACK:
-            yield from self._snic_handle_ckpt_ack(msg)
         else:
             raise ProtocolError(f"unhandled network message {msg}")
 
@@ -740,11 +730,11 @@ class OffloadEngine(EngineBase):
             self._snic_reply(msg, MsgType.ACK_P)
         elif p is P.READ_ENFORCED:
             self._snic_reply(msg, MsgType.ACK_C)
-            self.spawn_bg(self._renf_follower_durable(msg, dentry),
-                          name=self._fdq_name)
+            self.sim.spawn(self._renf_follower_durable(msg, dentry),
+                           name=self._fdq_name)
         else:  # EVENTUAL, SCOPE
             self._snic_reply(msg, MsgType.ACK_C)
-            self.spawn_bg(
+            self.sim.spawn(
                 self._background_durable_follower(dentry, scope_event),
                 name=self._fdq_name)
         self.metrics.record_follower_handling(
@@ -787,45 +777,3 @@ class OffloadEngine(EngineBase):
         yield self.sim.sleep(
             self.params.dfifo_write_time(self.params.control_size))
         self._snic_reply(msg, MsgType.ACK_P)
-
-    # ======================================================================
-    # Checkpoint barrier (repro.ckpt): CKPT / CKPT_ACK handling
-    # ======================================================================
-
-    def ckpt_initiate(self, round_id: int):
-        """Coordinator side of one checkpoint round (SNIC-originated, like
-        the VAL broadcasts): quiesce per the persistency model, fence the
-        local NvmLog, then broadcast the barrier request.  The CKPT
-        message is built *here* (not in the CheckpointManager) so the
-        protocol-flow analysis sees the send."""
-        yield from self.ckpt_quiesce()
-        yield self.sim.sleep(  # fence record into the dFIFO
-            self.params.dfifo_write_time(self.params.control_size))
-        if self.ckpt is not None:
-            self.ckpt.local_checkpoint(self, round_id=round_id)
-        msg = self.stamp(Message(type=MsgType.CKPT, key=None, ts=NULL_TS,
-                                 src=self.node_id, persist_id=round_id,
-                                 write_id=self.sim.next_write_id()))
-        if self.ckpt is not None:
-            self.ckpt.register_round_msg(round_id, msg)
-        yield from self.snic.compute(self.params.snic.msg_handler_cost)
-        self.snic.send_multi(list(self.peers), msg,
-                             self.params.control_size)
-
-    def _snic_follower_ckpt(self, msg: Message):
-        """Checkpoint barrier at a follower SNIC: quiesce per the
-        persistency model, fence the local NvmLog, then acknowledge."""
-        yield from self.ckpt_quiesce()
-        yield self.sim.sleep(  # fence record into the dFIFO
-            self.params.dfifo_write_time(self.params.control_size))
-        if self.ckpt is not None:
-            self.ckpt.local_checkpoint(self, round_id=msg.persist_id)
-        self._snic_reply(msg, MsgType.CKPT_ACK)
-
-    def _snic_handle_ckpt_ack(self, msg: Message):
-        """A follower's barrier acknowledgement, forwarded to the
-        CheckpointManager (idempotent: duplicate acks are set-absorbed)."""
-        if self.ckpt is not None:
-            self.ckpt.on_ack(msg)
-        return
-        yield  # pragma: no cover - generator marker

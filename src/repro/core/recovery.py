@@ -263,9 +263,9 @@ class RecoveryManager:
         Unlike the single-node rejoin path, this works with ZERO alive
         nodes: :meth:`designated_node` is unusable there, but the NVM
         logs survive the crash, so the restore line is derived directly
-        from every node's surviving state — the latest checkpoint image
-        plus the live log tail (:meth:`repro.kv.log.NvmLog.durable_snapshot`),
-        folded per key across all nodes.  Every crashed node is rolled
+        from every node's surviving NVM log
+        (:meth:`repro.kv.log.NvmLog.durable_snapshot`), folded per key
+        across all nodes.  Every crashed node is rolled
         back to that line: its volatile image and protocol metadata are
         rebuilt from scratch, missing durable versions are replayed into
         its log, and ``glb_volatileTS`` / ``glb_durableTS`` are
@@ -277,7 +277,7 @@ class RecoveryManager:
                    [n.node_id for n in self.cluster.nodes
                     if n.engine.crashed])
         # The global restore line: per-key newest surviving durable entry
-        # across every node's NVM (checkpoint image + log tail).
+        # across every node's NVM log.
         line: Dict[Any, LogEntry] = {}
         for node in self.cluster.nodes:
             for key, entry in node.engine.kv.log.durable_snapshot().items():

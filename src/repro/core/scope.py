@@ -56,24 +56,8 @@ class ScopeTracker:
         return sum(1 for e in self._pending.get(scope, ())
                    if not e.triggered)
 
-    def open_scopes(self) -> List[int]:
-        """Scopes with at least one write not yet persisted locally."""
-        return [scope for scope, events in self._pending.items()
-                if any(not e.triggered for e in events)]
-
     def reset(self) -> None:
         """Crash semantics: in-flight scope bookkeeping is volatile and
         does not survive a node crash (rollback recovery re-seeds state
         from the NVM logs instead)."""
         self._pending.clear()
-
-    def drain_open_scopes(self):
-        """Process helper: the ``[PERSIST]sc`` closure applied to *every*
-        open scope — the checkpoint fence for the Scope model.  Unlike
-        :meth:`wait_scope_durable` this does not count toward
-        ``persists_completed``: a checkpoint quiescence is not a client
-        persist round."""
-        for scope in sorted(self._pending):
-            for event in list(self._pending[scope]):
-                if not event.triggered:
-                    yield event

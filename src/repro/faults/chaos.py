@@ -27,10 +27,10 @@ class DisasterSpec:
 
     At ``at`` the last *victims* nodes (highest node ids) crash
     simultaneously; after ``down_for`` the whole set is rolled back to
-    the latest consistent state via
+    the latest consistent state their NVM logs hold, via
     :meth:`~repro.core.recovery.RecoveryManager.restore_cluster` —
-    restore-from-checkpoint *under load*, since the surviving clients
-    keep issuing operations throughout.
+    rollback *under load*, since the surviving clients keep issuing
+    operations throughout.
     """
 
     at: float
@@ -66,9 +66,7 @@ class ChaosResult:
     duration: float = 0.0
     #: Nodes rolled back through disaster restore (0: no disaster).
     restored: int = 0
-    #: Completed coordinated checkpoint rounds + CIC fences (0: off).
-    checkpoint_rounds: int = 0
-    #: Cluster-wide peak live NvmLog length observed at the end.
+    #: Cluster-wide peak NvmLog length observed at the end.
     peak_log_length: int = 0
 
     @property
@@ -85,7 +83,6 @@ class ChaosResult:
             "rejoins": self.rejoins,
             "duration_s": self.duration,
             "restored": self.restored,
-            "checkpoint_rounds": self.checkpoint_rounds,
             "peak_log_length": self.peak_log_length,
             "faults": self.fault_counters.to_dict(),
             "metrics": self.metrics.to_dict(),
@@ -99,7 +96,6 @@ def run_chaos(cluster, plan, workload, clients_per_node: int = 2,
               slice_s: float = us(2_000),
               max_time: float = us(500_000),
               settle_s: float = us(5_000),
-              checkpoints=None,
               disaster: Optional[DisasterSpec] = None) -> ChaosResult:
     """Run *workload* on *cluster* under *plan* and check invariants.
 
@@ -110,8 +106,6 @@ def run_chaos(cluster, plan, workload, clients_per_node: int = 2,
     catch-up, blind VAL re-broadcasts, and retransmit give-ups all drain
     before the invariant checks run.
 
-    *checkpoints* (a :class:`~repro.ckpt.CheckpointConfig`) enables
-    coordinated checkpointing / CIC log truncation for the run.
     *disaster* (a :class:`DisasterSpec`) additionally crashes a block of
     nodes mid-run and rolls them back through
     :meth:`~repro.core.recovery.RecoveryManager.restore_cluster` while
@@ -121,9 +115,6 @@ def run_chaos(cluster, plan, workload, clients_per_node: int = 2,
     from repro.verify.runtime import RuntimeMonitor
 
     sim = cluster.sim
-    ckpt_manager = None
-    if checkpoints is not None:
-        ckpt_manager = cluster.enable_checkpoints(checkpoints)
     manager = RecoveryManager(cluster, heartbeat_interval=heartbeat_interval,
                               timeout=detect_timeout)
     injector = cluster.enable_faults(plan, manager)
@@ -197,16 +188,11 @@ def run_chaos(cluster, plan, workload, clients_per_node: int = 2,
     except VerificationError as exc:
         violations.append(str(exc))
 
-    checkpoint_rounds = 0
-    if ckpt_manager is not None:
-        checkpoint_rounds = (ckpt_manager.rounds_completed
-                             + ckpt_manager.cic_checkpoints)
     return ChaosResult(completed=completed, checks=checks,
                        violations=violations, metrics=cluster.metrics,
                        fault_counters=injector.counters,
                        detections=manager.detections,
                        rejoins=manager.rejoins, duration=sim.now,
                        restored=len(restored_nodes),
-                       checkpoint_rounds=checkpoint_rounds,
                        peak_log_length=max(node.kv.log.peak_length
                                            for node in cluster.nodes))

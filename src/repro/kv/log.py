@@ -9,12 +9,9 @@ with the newest timestamp wins.
 
 The log is also the recovery substrate (§III-E): a designated node ships
 ``entries_since(serial)`` to a re-inserted node, which applies them to its
-persistent and volatile state.
-
-To keep the log (and hence recovery payloads) bounded, :meth:`checkpoint`
-collapses everything appended so far into a per-key image and truncates
-the entry list; ``entries_since`` answers from the checkpoint when asked
-about pre-checkpoint serials.
+persistent and volatile state.  The log is never truncated, so it is
+also the rollback image when every node (or k of them) loses volatile
+state at once.
 """
 
 from __future__ import annotations
@@ -49,19 +46,7 @@ class NvmLog:
         #: after replaying the log).
         self._durable_db: Dict[Any, LogEntry] = {}
         self._applied_upto = 0
-        #: Per-key image of everything truncated by checkpoint().
-        self._checkpoint: Dict[Any, LogEntry] = {}
-        #: Highest serial covered by the checkpoint (-1: none).
-        self._checkpoint_serial = -1
-        self.appends = 0
         self.obsolete_skipped = 0
-        self.checkpoints_taken = 0
-        #: Total entries removed by checkpoint truncation.
-        self.truncated_total = 0
-        #: High-watermark of the live entry list — the boundedness
-        #: evidence for the unbounded-log fix (checkpointing keeps this
-        #: flat on long runs; without it, it tracks ``appends``).
-        self.peak_length = 0
 
     # -- appending ---------------------------------------------------------
 
@@ -71,35 +56,20 @@ class NvmLog:
         entry = LogEntry(key=key, ts=ts, value=value, scope=scope,
                          serial=next(self._serial))
         self._entries.append(entry)
-        self.appends += 1
-        if len(self._entries) > self.peak_length:
-            self.peak_length = len(self._entries)
         return entry
 
-    # -- applying (log -> durable database) ------------------------------------
-
-    def checkpoint(self) -> int:
-        """Collapse the tail into the per-key checkpoint image and
-        truncate the entry list (log compaction).  Returns the number of
-        entries truncated.  ``entries_since`` calls about pre-checkpoint
-        serials are answered with the (compact) checkpoint image."""
-        truncated = len(self._entries)
-        for entry in self._entries:
-            current = self._checkpoint.get(entry.key)
-            if current is None or current.ts < entry.ts:
-                self._checkpoint[entry.key] = entry
-        if self._entries:
-            self._checkpoint_serial = self._entries[-1].serial
-        self.apply_all()
-        self._entries.clear()
-        self._applied_upto = 0
-        self.checkpoints_taken += 1
-        self.truncated_total += truncated
-        return truncated
+    @property
+    def appends(self) -> int:
+        """Entries ever appended (the log is never truncated)."""
+        return len(self._entries)
 
     @property
-    def checkpoint_serial(self) -> int:
-        return self._checkpoint_serial
+    def peak_length(self) -> int:
+        """High-watermark of the entry list: its length, since the log
+        never shrinks."""
+        return len(self._entries)
+
+    # -- applying (log -> durable database) ------------------------------------
 
     def apply_all(self) -> int:
         """Apply every unapplied entry to the durable database, skipping
@@ -134,32 +104,23 @@ class NvmLog:
 
     @property
     def last_serial(self) -> int:
+        """Serial of the newest entry (-1: empty log)."""
         if self._entries:
             return self._entries[-1].serial
-        return self._checkpoint_serial
+        return -1
 
     def entries_since(self, serial: int) -> List[LogEntry]:
         """All entries with serial greater than *serial* — the catch-up
-        payload shipped to a recovering node (§III-E).
-
-        If *serial* predates the checkpoint, the truncated history is
-        represented by the checkpoint's per-key image (one entry per key
-        instead of the full history), followed by the live tail."""
-        tail = [e for e in self._entries if e.serial > serial]
-        if serial >= self._checkpoint_serial:
-            return tail
-        image = [e for e in self._checkpoint.values() if e.serial > serial]
-        image.sort(key=lambda e: e.serial)
-        return image + tail
+        payload shipped to a recovering node (§III-E)."""
+        return [e for e in self._entries if e.serial > serial]
 
     def durable_snapshot(self) -> Dict[Any, LogEntry]:
         """Per-key newest *surviving* entry, reconstructed the way a
-        crash restart would: checkpoint image plus the live tail.
-        Deliberately NOT the applied-database cache — a corrupted
-        checkpoint image must be visible here so the rollback checker
-        can catch it."""
+        crash restart would: a fold over every log entry.  Deliberately
+        NOT the applied-database cache — a corrupted entry must be
+        visible here so the rollback checker can catch it."""
         snapshot: Dict[Any, LogEntry] = {}
-        for entry in self.entries_since(-1):
+        for entry in self._entries:
             current = snapshot.get(entry.key)
             if current is None or current.ts < entry.ts:
                 snapshot[entry.key] = entry

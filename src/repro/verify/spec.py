@@ -135,10 +135,6 @@ class ProtocolSpec:
     def _split(self) -> bool:
         return self.model.split_acks
 
-    @property
-    def _tracks_p(self) -> bool:
-        return self.model.tracks_persistency
-
     def _ack_c_type(self) -> str:
         return ACK if self.model.persistency is P.SYNCHRONOUS else ACK_C
 

@@ -90,10 +90,8 @@ class TestDispatchTables:
         net = flow.arches["baseline"].dispatch["net"]
         assert "BATCHED_ACK" in net.rejected
         assert "BATCHED_ACK" not in net.accepted
-        # 8 protocol types + the CKPT/CKPT_ACK checkpoint barrier.
-        assert len(net.accepted) == 10
-        assert "CKPT" in net.accepted
-        assert "CKPT_ACK" in net.accepted
+        # The paper's 8 protocol message types.
+        assert len(net.accepted) == 8
 
     def test_offload_pcie_host_to_snic_accepts_inv_and_persist_only(
             self, flow):
@@ -104,7 +102,8 @@ class TestDispatchTables:
     def test_offload_pcie_snic_to_host_is_tolerant(self, flow):
         table = flow.arches["offload"].dispatch["pcie_snic_to_host"]
         assert table.tolerant
-        assert len(table.accepted) == 11
+        # Tolerant: every MsgType member (8 protocol + BATCHED_ACK).
+        assert len(table.accepted) == 9
 
 
 class TestSendPrecision:
@@ -140,5 +139,4 @@ class TestSendPrecision:
         resolved = set()
         for site in sites:
             resolved |= site.types.literals
-        assert resolved == {"INV", "PERSIST", "VAL", "VAL_C", "VAL_P",
-                            "CKPT"}
+        assert resolved == {"INV", "PERSIST", "VAL", "VAL_C", "VAL_P"}

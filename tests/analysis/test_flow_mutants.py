@@ -67,8 +67,10 @@ class TestUnhandledMessage:
         mutate(scratch, BASELINE_ENGINE,
                "        elif msg.type.is_val:\n"
                "            yield from self._follower_val(msg)\n"
-               "        elif msg.type is MsgType.CKPT:",
-               "        elif msg.type is MsgType.CKPT:")
+               "        else:\n"
+               "            raise ProtocolError",
+               "        else:\n"
+               "            raise ProtocolError")
         result = lint(scratch, ["flow-unhandled-message"])
         hits = findings_for(result, "flow-unhandled-message")
         assert hits, "VAL family now rejected by the net loop: must fire"

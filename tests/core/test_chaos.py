@@ -18,7 +18,6 @@ import pytest
 
 from repro import (LIN_SCOPE, LIN_STRICT, LIN_SYNCH, MINOS_B, MINOS_O,
                    MinosCluster)
-from repro.ckpt import CheckpointConfig
 from repro.core.recovery import RecoveryManager
 from repro.faults import (CrashWindow, DisasterSpec, FaultPlan, LinkFaults,
                           Partition, RetransmitPolicy, cascading_crashes,
@@ -326,12 +325,9 @@ class TestDurableLinearizability:
 
 
 class TestDisasterMatrix:
-    """Cascading failures, flapping partitions, and restore-from-
-    checkpoint under load, across {Synch, Scope} x {MINOS-B, MINOS-O}
-    (PR 10 satellite).  Every scenario runs with checkpointing active —
-    the CIC watermark keeps truncating throughout, so the recovery
-    paths exercised here restore from checkpoint images + log tails,
-    not from a full-history log."""
+    """Cascading failures, flapping partitions, and rollback under
+    load, across {Synch, Scope} x {MINOS-B, MINOS-O}.  Every recovery
+    path exercised here restores from the surviving NVM logs."""
 
     MODELS = [LIN_SYNCH, LIN_SCOPE]
 
@@ -347,15 +343,14 @@ class TestDisasterMatrix:
     def test_cascading_failures(self, config, model):
         """Nodes 3 and 4 crash 150us apart — the second crash lands
         while the cluster is still absorbing the first — and each
-        rejoins while checkpoints keep fencing."""
+        rejoins while the other writers keep logging."""
         plan = FaultPlan.lossy(
             seed=31, drop=0.005,
             crashes=cascading_crashes((3, 4), at=us(100),
                                       stagger=us(150), down_for=us(600)))
         cluster = make_cluster(config, model=model, nodes=5)
         result = run_chaos(cluster, plan, self.workload(model, 31),
-                           clients_per_node=1,
-                           checkpoints=CheckpointConfig(watermark=10))
+                           clients_per_node=1)
         assert result.completed, "writers stalled through the cascade"
         assert result.violations == [], result.violations
         assert result.checks == "quiescent"
@@ -366,7 +361,7 @@ class TestDisasterMatrix:
     def test_flapping_partition(self, config, model):
         """A link cut that heals and re-opens four times: retransmit
         timers keep firing into a fabric that works just often enough
-        to half-deliver, with CIC truncation racing the retries."""
+        to half-deliver."""
         # Each cut (60us) heals before the detector's 150us timeout and
         # inside the retransmit backoff horizon, mirroring
         # TestPartitionSchedules: the flaps stress retry logic, not the
@@ -377,28 +372,25 @@ class TestDisasterMatrix:
                                           period=us(120), flaps=4))
         cluster = make_cluster(config, model=model)
         result = run_chaos(cluster, plan, self.workload(model, 37),
-                           clients_per_node=1, detect_timeout=us(150),
-                           checkpoints=CheckpointConfig(watermark=10))
+                           clients_per_node=1, detect_timeout=us(150))
         assert result.completed, "writers stalled across the flaps"
         assert result.violations == [], result.violations
         assert result.checks == "quiescent"
 
     @pytest.mark.parametrize("config", ARCHES, ids=lambda c: c.name)
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
-    def test_restore_from_checkpoint_under_load(self, config, model):
+    def test_restore_under_load(self, config, model):
         """A two-node disaster mid-run: the victims are rolled back to
-        the latest consistent checkpoint line while the surviving
+        the restore line their NVM logs hold while the surviving
         clients keep issuing, then the whole cluster must converge and
         pass the quiescent invariant suite."""
         plan = FaultPlan.lossy(seed=41, drop=0.005)
         cluster = make_cluster(config, model=model, nodes=5)
         result = run_chaos(
             cluster, plan, self.workload(model, 41), clients_per_node=1,
-            checkpoints=CheckpointConfig(interval=us(400), watermark=20),
             disaster=DisasterSpec(at=us(450), victims=2,
                                   down_for=us(500)))
         assert result.completed, "surviving clients stalled"
         assert result.violations == [], result.violations
         assert result.checks == "quiescent"
         assert result.restored == 2
-        assert result.checkpoint_rounds > 0

@@ -75,72 +75,3 @@ class TestRecoverySupport:
         log.append("a", Timestamp(1, 0), "x")
         log.append("b", Timestamp(1, 0), "y")
         assert len(log.entries_for("a")) == 1
-
-
-class TestCheckpoint:
-    def test_checkpoint_truncates_but_preserves_state(self):
-        from repro.kv.log import NvmLog
-        log = NvmLog()
-        log.append("a", Timestamp(1, 0), "a1")
-        log.append("a", Timestamp(2, 0), "a2")
-        log.append("b", Timestamp(1, 1), "b1")
-        truncated = log.checkpoint()
-        assert truncated == 3
-        assert len(log) == 0
-        assert log.durable_value("a") == "a2"
-        assert log.durable_value("b") == "b1"
-        assert log.checkpoints_taken == 1
-
-    def test_last_serial_survives_checkpoint(self):
-        from repro.kv.log import NvmLog
-        log = NvmLog()
-        log.append("a", Timestamp(1, 0), "x")
-        before = log.last_serial
-        log.checkpoint()
-        assert log.last_serial == before
-
-    def test_entries_since_uses_checkpoint_image(self):
-        """A recovering node that missed the whole history gets one
-        entry per key (the compact image) plus the live tail."""
-        from repro.kv.log import NvmLog
-        log = NvmLog()
-        for version in range(1, 6):
-            log.append("hot", Timestamp(version, 0), f"v{version}")
-        log.checkpoint()
-        log.append("cold", Timestamp(1, 1), "c1")
-        payload = log.entries_since(-1)
-        assert [(e.key, e.value) for e in payload] == \
-            [("hot", "v5"), ("cold", "c1")]
-
-    def test_entries_since_after_checkpoint_serial(self):
-        from repro.kv.log import NvmLog
-        log = NvmLog()
-        log.append("a", Timestamp(1, 0), "x")
-        marker = log.last_serial
-        log.checkpoint()
-        log.append("a", Timestamp(2, 0), "y")
-        assert [e.value for e in log.entries_since(marker)] == ["y"]
-
-    def test_recovery_with_checkpointed_designated_node(self):
-        """End-to-end: the designated node checkpointed its log; the
-        rejoining node still converges."""
-        from repro import LIN_SYNCH, MINOS_B, MinosCluster
-        from repro.core.recovery import RecoveryManager
-        from repro.hw.params import MachineParams, us
-
-        cluster = MinosCluster(model=LIN_SYNCH, config=MINOS_B,
-                               params=MachineParams(nodes=3))
-        manager = RecoveryManager(cluster)
-        for node in cluster.nodes:
-            node.engine.tolerate_stale_acks = True
-        cluster.load_records([("k", "v0")])
-        manager.crash(2)
-        cluster.sim.run(until=us(1000))
-        cluster.write(0, "k", "v1")
-        cluster.write(0, "k", "v2")
-        cluster.nodes[0].kv.log.checkpoint()  # compact before catch-up
-        process = manager.recover(2)
-        cluster.sim.run(until=cluster.sim.now + us(2000))
-        assert process.triggered
-        assert cluster.nodes[2].kv.volatile_read("k").value == "v2"
-        assert cluster.nodes[2].kv.durable_value("k") == "v2"

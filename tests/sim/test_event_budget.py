@@ -16,10 +16,6 @@ probes with builtin ``hash()``, so the count wobbles with
 this run's size, 241 hash seeds gave 93.5–94.5 (MINOS-B) entries per
 op, and 120 hash seeds gave 97.7–99.0 (MINOS-O; 241 seeds gave
 100.7–102.1 before the fold).
-
-Checkpointing is held to the same count: CIC truncation at watermark 20
-fences about 180 times in this run and adds ≈0.12 entries per op (a
-ratio of ≈1.0013 at every hash seed, since both runs share one).
 """
 
 import functools
@@ -28,19 +24,15 @@ import pytest
 
 from repro.api import (DEFAULT_MACHINE, LIN_SYNCH, MINOS_B, MINOS_O,
                        MinosCluster, YcsbWorkload)
-from repro.ckpt import CheckpointConfig
 from repro.sim.events import Timeout
 
 
-def run(config, write_fraction, requests_per_client, observer=None,
-        checkpoints=None):
+def run(config, write_fraction, requests_per_client, observer=None):
     """A 5-node x 3-client closed-loop YCSB run -> (entries per client
     op, cluster)."""
     cluster = MinosCluster(model=LIN_SYNCH, config=config,
                            params=DEFAULT_MACHINE.with_nodes(5))
     cluster.sim.schedule_observer = observer
-    if checkpoints is not None:
-        cluster.enable_checkpoints(checkpoints)
     workload = YcsbWorkload(records=200,
                             requests_per_client=requests_per_client,
                             write_fraction=write_fraction, seed=42)
@@ -62,17 +54,6 @@ def half_writes_per_op(config):
                          ids=["MINOS-B", "MINOS-O"])
 def test_half_writes_stay_within_the_entry_budget(config, budget):
     assert half_writes_per_op(config) <= budget
-
-
-@pytest.mark.parametrize("config", [MINOS_B, MINOS_O],
-                         ids=["MINOS-B", "MINOS-O"])
-def test_checkpointing_stays_cheap(config):
-    """CIC truncation on the budget macro costs at most 1 % more entries
-    per op than the same run without it — and does fence."""
-    per_op, cluster = run(config, 0.5, requests_per_client=100,
-                          checkpoints=CheckpointConfig(watermark=20))
-    assert cluster.checkpoints.cic_checkpoints > 0
-    assert per_op <= 1.01 * half_writes_per_op(config)
 
 
 def test_a_read_costs_five_entries():

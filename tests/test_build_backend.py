@@ -15,6 +15,17 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "_build"))
 import repro_build_backend as backend  # noqa: E402
 
 
+def _declared_dependencies():
+    """``[project] dependencies`` as pyproject.toml declares them (read
+    with tomllib where the interpreter has it)."""
+    text = (backend.ROOT / "pyproject.toml").read_text()
+    try:
+        import tomllib
+    except ImportError:  # Python 3.10
+        return backend._fallback_parse(text)["project"]["dependencies"]
+    return tomllib.loads(text)["project"]["dependencies"]
+
+
 class TestEditableWheel:
     def test_contains_pth_pointing_at_src(self, tmp_path):
         name = backend.build_editable(str(tmp_path))
@@ -37,7 +48,17 @@ class TestEditableWheel:
             metadata = next(wheel.read(n).decode() for n in names
                             if n.endswith("METADATA"))
             assert "Name: repro" in metadata
-            assert "Requires-Dist: numpy" in metadata
+            requires = [line.split(": ", 1)[1]
+                        for line in metadata.splitlines()
+                        if line.startswith("Requires-Dist: ")]
+            assert requires == _declared_dependencies()
+
+    def test_fallback_parser_reads_the_declared_dependencies(self):
+        """The Python 3.10 path (no tomllib) must agree with the real
+        TOML parser on this project's dependency list."""
+        text = (backend.ROOT / "pyproject.toml").read_text()
+        parsed = backend._fallback_parse(text)["project"]
+        assert parsed["dependencies"] == _declared_dependencies()
 
 
 class TestRegularWheel:
