@@ -102,8 +102,6 @@ _EXPORTS = {
     "Node": "repro.cluster",
     "Breakdown": "repro.metrics",
     "write_breakdown": "repro.metrics",
-    "TraceEvent": "repro.trace",
-    "Tracer": "repro.trace",
     "MEDIA_LOGIN": "repro.workloads",
     "SOCIAL_LOGIN": "repro.workloads",
     "Op": "repro.workloads",

@@ -1,28 +1,29 @@
 """Fast-path / slow-path parity.
 
-PR 2's hot-path optimisation introduced guarded fast paths of the shape
+The hot paths carry guarded observer arms of the shape
 
 .. code-block:: python
 
-    if self.tracer is not None:
-        self.trace(...)            # observer-only arm
+    if self.obs is not None:
+        self.obs.instant(...)      # observer-only arm
     ...                            # state changes happen unconditionally
 
 and forked delivery paths like :meth:`Port._deliver`, where the
 fault-injector arm and the plain arm must make the *same* state
 transitions (schedule the same deliveries, update the same counters) and
 differ only in what the observer sees.  A fast path that also mutates
-simulator state silently diverges the traced run from the untraced one —
-the worst kind of heisenbug for a determinism-critical simulator.
+simulator state silently diverges the observed run from the unobserved
+one — the worst kind of heisenbug for a determinism-critical simulator.
 
 Two statically checkable shapes:
 
 * **fastpath-observer-effect** — an ``if <guard> is not None:`` block
-  with *no* else whose guard is an observability attribute (``tracer``,
+  with *no* else whose guard is an observability attribute (``obs``,
   ``fault_injector``, ``injector``) must be observer-only: every
-  statement is a call on the guard object, a ``self.trace(...)`` call,
-  or a local binding feeding one.  Any attribute store or non-observer
-  call inside the arm changes state only when tracing is on.
+  statement is a call on the guard object, an observation call (see
+  :data:`OBSERVER_CALLS`), or a local binding feeding one.  Any
+  attribute store or non-observer call inside the arm changes state
+  only when the observer is attached.
 * **fastpath-divergent-fork** — an ``if``/``else`` (or guarded early
   ``return``) on such a guard where the two arms' *effect sets* (dotted
   names of non-observer calls + attributes stored) differ.  Both arms
@@ -40,11 +41,11 @@ from repro.analysis.core import (ModuleSource, Project, Rule, dotted_name,
 from repro.analysis.report import Finding
 
 #: Attribute names whose presence gates an observability fast path.
-OBSERVER_GUARDS = ("tracer", "fault_injector", "injector", "obs")
+OBSERVER_GUARDS = ("fault_injector", "injector", "obs")
 
 #: Call names that are pure observation (allowed in a guarded arm).
-OBSERVER_CALLS = {"trace", "record", "observe", "note", "log", "emit",
-                  "append", "isoformat"}
+OBSERVER_CALLS = {"record", "observe", "note", "log", "emit", "append",
+                  "isoformat"}
 
 #: Side-effect-free builtins: fine as argument plumbing in a guarded arm
 #: (e.g. ``self.obs.gauge(..., float(len(self.vfifo)))``).
@@ -220,7 +221,7 @@ class _FunctionChecker:
             line=node.lineno, symbol=self.qualname,
             message=f"fork on {guard} makes different state "
                     f"transitions per arm ({'; '.join(detail)}); "
-                    f"traced and untraced runs will diverge"))
+                    f"observed and unobserved runs will diverge"))
 
 
 @rule

@@ -487,19 +487,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     cluster = MinosCluster(model=model_by_name(args.model),
                            config=config_by_name(args.arch),
                            params=DEFAULT_MACHINE.with_nodes(args.nodes))
-    tracer = cluster.attach_tracer()
-    obs = None
-    if args.export_path or args.jsonl:
-        obs = cluster.attach_obs()
+    obs = cluster.attach_obs()
     cluster.load_records([("key", "v0")])
     result = cluster.write(0, "key", "v1")
     cluster.sim.run()
     print(f"one write on {args.arch} {cluster.model.name}: "
           f"{result.latency * 1e6:.2f} us\n")
-    print(tracer.timeline())
-    if obs is not None:
-        return _export_obs(obs, args.export_path, args.jsonl)
-    return 0
+    print(obs.timeline())
+    return _export_obs(obs, args.export_path, args.jsonl)
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:

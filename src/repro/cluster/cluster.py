@@ -110,23 +110,8 @@ class MinosCluster:
                       for node_id in peers]
         #: Installed :class:`repro.faults.FaultInjector` (None: fault-free).
         self.fault_injector = None
-        self.tracer = None
         #: Attached :class:`repro.obs.Observability` (None: detached).
         self.obs = None
-
-    def attach_tracer(self):
-        """Attach a :class:`repro.trace.Tracer` to every engine (and the
-        fault injector, if one is installed) and return it.  Protocol
-        events are recorded from this point on."""
-        from repro.trace import Tracer
-
-        tracer = Tracer(self.sim)
-        self.tracer = tracer
-        for node in self.nodes:
-            node.engine.tracer = tracer
-        if self.fault_injector is not None:
-            self.fault_injector.tracer = tracer
-        return tracer
 
     def attach_obs(self):
         """Attach a :class:`repro.obs.Observability` recorder to every
@@ -173,7 +158,6 @@ class MinosCluster:
                     f"crash window targets node {window.node} but the "
                     f"cluster has nodes 0..{len(self.nodes) - 1}")
         injector = FaultInjector(self.sim, plan)
-        injector.tracer = self.tracer
         injector.obs = self.obs
         self.network.install_fault_injector(injector)
         self.fault_injector = injector

@@ -102,8 +102,6 @@ class BaselineEngine(EngineBase):
         for _ in range(policy.val_resends):
             yield self.sim.timeout(delay)
             self.metrics.counters.val_rebroadcasts += 1
-            self.trace("robust", "VAL rebroadcast", type=msg.type.name,
-                       write_id=msg.write_id)
             if self.obs is not None:
                 self.obs.seg_begin(self.node_id, msg.write_id,
                                    "val_rebroadcast")
@@ -157,8 +155,6 @@ class BaselineEngine(EngineBase):
         # recorder must not shift the write ids an unobserved run assigns.
         write_id = self.sim.next_write_id()
         self.metrics.counters.writes_started += 1
-        if self.tracer is not None:
-            self.trace("write", "start", key=key)
         if self.obs is not None:
             self.obs.op_begin(self.node_id, "write", write_id, key=key)
             self.obs.seg_begin(self.node_id, write_id, "lock_acquire")
@@ -193,8 +189,6 @@ class BaselineEngine(EngineBase):
                                      write_id=write_id))
             txn = self.register_txn(key, ts, msg.write_id)
             txn.inv_deposited_at = self.sim.now
-            if self.tracer is not None:
-                self.trace("write", "INVs deposited", key=key, ts=ts)
             if self.obs is not None:
                 self.obs.seg_begin(self.node_id, write_id, "inv_fanout")
             yield from self._deposit_invs(msg)  # line 11: send INVs
@@ -231,9 +225,6 @@ class BaselineEngine(EngineBase):
                 name=self._persist_name)
         yield from self._coordinator_finish(txn, meta, key, ts, scope)
         latency = self.record_write_metrics(txn, started)
-        if self.tracer is not None:
-            self.trace("write", "complete", key=key, ts=ts,
-                       latency_s=latency)
         if self.obs is not None:
             self.obs.op_end(self.node_id, write_id)
         return WriteResult(key, ts, False, latency, write_id=write_id)
@@ -242,8 +233,6 @@ class BaselineEngine(EngineBase):
         """Logical durability point: append to the NVM log."""
         self.kv.persist(key, value, ts, scope=scope)
         self.metrics.counters.persists += 1
-        if self.tracer is not None:
-            self.trace("persist", "NVM", key=key, ts=ts)
 
     def _local_persist(self, key, value, ts, scope, txn: WriteTxn) -> None:
         self._persist_record(key, value, ts, scope)
@@ -508,8 +497,10 @@ class BaselineEngine(EngineBase):
         a VAL the coordinator cannot send until it gets the very ACK being
         re-requested."""
         self.metrics.counters.dedup_inv_hits += 1
-        self.trace("robust", "duplicate suppressed", type=msg.type.name,
-                   write_id=msg.write_id, resent=len(replies))
+        if self.obs is not None:
+            self.obs.instant(self.node_id, "duplicate_suppressed",
+                             op_id=msg.write_id, type=msg.type.name,
+                             resent=len(replies))
         for reply in list(replies):
             yield from self._send_control(msg.src, reply)
 
@@ -542,8 +533,6 @@ class BaselineEngine(EngineBase):
     def _follower_inv(self, msg: Message):
         """Fig. 2 lines 26-40 (Follower INV handling)."""
         handling_started = self.sim.now
-        if self.tracer is not None:
-            self.trace("follower", "INV received", key=msg.key, ts=msg.ts)
         if self.obs is not None:
             self.obs.seg_begin(self.node_id, msg.write_id, "inv_handle")
         params = self.params

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.core.messages import Message, MsgType
 from repro.core.metadata import RecordMeta
@@ -22,10 +22,12 @@ from repro.core.timestamp import Timestamp
 from repro.errors import ProtocolError
 from repro.hw.host import Host
 from repro.hw.params import MachineParams
-from repro.kv.store import MinosKV
 from repro.metrics.stats import Metrics
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
+
+if TYPE_CHECKING:  # annotation only: kv.log -> core -> kv.store would cycle
+    from repro.kv.store import MinosKV
 
 
 @dataclass(slots=True)
@@ -158,15 +160,15 @@ class EngineBase:
     The whole engine hierarchy declares ``__slots__``: one engine is
     instantiated per simulated node and hot handlers touch engine
     attributes on every message, so the fixed layout buys both memory
-    and attribute-lookup speed.  Post-construction hooks (``tracer``,
-    ``obs``, ``robustness``, ``control_handler``, ``crashed``,
+    and attribute-lookup speed.  Post-construction hooks (``obs``,
+    ``robustness``, ``control_handler``, ``crashed``,
     ``tolerate_stale_acks``) are declared here and attached by
     assignment — never by adding new attributes.
     """
 
     __slots__ = ("sim", "node_id", "params", "model", "host", "kv",
                  "peers", "metrics", "scope_tracker", "_txns",
-                 "_last_version", "crashed", "tracer", "obs",
+                 "_last_version", "crashed", "obs",
                  "robustness", "_seq_counter", "_inv_replies",
                  "_inv_reply_order", "incarnation")
 
@@ -191,11 +193,9 @@ class EngineBase:
         #: it after waking and die instead of resuming against the
         #: restarted incarnation's wiped protocol state.
         self.incarnation = 0
-        #: Optional repro.trace.Tracer; attach via MinosCluster.attach_tracer.
-        self.tracer = None
         #: Optional repro.obs.Observability; attach via
-        #: MinosCluster.attach_obs.  Same no-op contract as the tracer:
-        #: ``None`` keeps every span/segment site at one attribute check.
+        #: MinosCluster.attach_obs.  ``None`` keeps every span/segment
+        #: site at one attribute check.
         self.obs = None
         #: Optional repro.faults.RetransmitPolicy — set by
         #: ``MinosCluster.enable_faults``.  ``None`` (the default) keeps
@@ -213,11 +213,6 @@ class EngineBase:
     #: Bound on remembered INV keys (oldest evicted first); generous for
     #: any simulated run while keeping long chaos runs O(1) in memory.
     INV_REPLY_CAP = 4096
-
-    def trace(self, category: str, label: str, **details) -> None:
-        """Emit a protocol trace event if a tracer is attached."""
-        if self.tracer is not None:
-            self.tracer.emit(self.node_id, category, label, **details)
 
     def obs_durable(self, key, meta) -> None:
         """Record a ``glb_durableTS`` advance as an observability instant
@@ -319,8 +314,6 @@ class EngineBase:
             if not targets:
                 return
             self.metrics.counters.inv_retransmits += 1
-            self.trace("robust", "retransmit", type=msg.type.name,
-                       write_id=txn.write_id, targets=targets)
             if self.obs is not None:
                 self.obs.seg_begin(self.node_id, txn.write_id, "retransmit")
             yield from resend(msg, targets)
@@ -328,8 +321,9 @@ class EngineBase:
                 self.obs.seg_end(self.node_id, txn.write_id, "retransmit",
                                  type=msg.type.name, targets=len(targets))
             delay = policy.next_timeout(delay)
-        self.trace("robust", "retransmit give-up", type=msg.type.name,
-                   write_id=txn.write_id)
+        if self.obs is not None:
+            self.obs.instant(self.node_id, "retransmit_give_up",
+                             op_id=txn.write_id, type=msg.type.name)
 
     def watch_retransmits(self, txn: WriteTxn, msg: Message, resend) -> None:
         """Arm the retransmit timer for *txn* (no-op when robustness is

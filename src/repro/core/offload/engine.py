@@ -103,9 +103,6 @@ class OffloadEngine(EngineBase):
             entry.drained.succeed()
             return
         yield self.snic.dma_to_host(entry.size_bytes)
-        if self.tracer is not None:
-            self.trace("snic", "vFIFO drained", key=entry.key,
-                       ts=entry.ts)
         self.sim.spawn(self._vfifo_apply_tail(entry),
                        name=self._vtail_name)
 
@@ -138,9 +135,6 @@ class OffloadEngine(EngineBase):
                              bytes=entry.size_bytes)
         self.kv.persist(entry.key, entry.value, entry.ts, scope=entry.scope)
         self.metrics.counters.persists += 1
-        if self.tracer is not None:
-            self.trace("persist", "dFIFO (durable)", key=entry.key,
-                       ts=entry.ts)
 
     # ======================================================================
     # Host side (Fig. 8 lines 4-14)
@@ -164,8 +158,6 @@ class OffloadEngine(EngineBase):
         # recorder must not shift the write ids an unobserved run assigns.
         write_id = self.sim.next_write_id()
         self.metrics.counters.writes_started += 1
-        if self.tracer is not None:
-            self.trace("write", "start", key=key)
         if self.obs is not None:
             self.obs.op_begin(self.node_id, "write", write_id, key=key)
             self.obs.seg_begin(self.node_id, write_id, "lock_acquire")
@@ -201,9 +193,6 @@ class OffloadEngine(EngineBase):
                                  size=size, write_id=write_id))
         txn = self.register_txn(key, ts, msg.write_id)
         txn.inv_deposited_at = self.sim.now
-        if self.tracer is not None:
-            self.trace("write", "INV deposited to SNIC", key=key, ts=ts,
-                       batched=self.config.batching)
         if self.obs is not None:
             self.obs.seg_begin(self.node_id, write_id, "inv_fanout")
         yield from self._host_deposit_invs(msg)  # line 10: send INV(s) to SNIC
@@ -216,9 +205,6 @@ class OffloadEngine(EngineBase):
         if self.obs is not None:
             self.obs.seg_end(self.node_id, write_id, "snic_wait")
         latency = self.record_write_metrics(txn, started)
-        if self.tracer is not None:
-            self.trace("write", "complete", key=key, ts=ts,
-                       latency_s=latency)
         if self.obs is not None:
             self.obs.op_end(self.node_id, write_id)
         return WriteResult(key, ts, False, latency, write_id=write_id)
@@ -392,8 +378,6 @@ class OffloadEngine(EngineBase):
         if self.obs is not None:
             self.obs.seg_end(self.node_id, msg.write_id, "vfifo_enqueue",
                              bytes=size)
-        if self.tracer is not None:
-            self.trace("snic", "vFIFO enqueued", key=msg.key, ts=msg.ts)
         if not txn.local_enqueued.triggered:
             txn.local_enqueued.succeed()
         dentry = self.snic.make_entry(msg.key, msg.ts, msg.value, size,
@@ -548,8 +532,6 @@ class OffloadEngine(EngineBase):
         for _ in range(policy.val_resends):
             yield self.sim.timeout(delay)
             self.metrics.counters.val_rebroadcasts += 1
-            self.trace("robust", "VAL rebroadcast", type=msg.type.name,
-                       write_id=msg.write_id)
             if self.obs is not None:
                 # send_multi is a synchronous queue deposit, so this is an
                 # instant rather than a begin/end segment pair.
@@ -634,8 +616,10 @@ class OffloadEngine(EngineBase):
         verbatim (re-running the handler would deadlock on the obsolete
         path's consistency spin, and would double-enqueue FIFO entries)."""
         self.metrics.counters.dedup_inv_hits += 1
-        self.trace("robust", "duplicate suppressed", type=msg.type.name,
-                   write_id=msg.write_id, resent=len(replies))
+        if self.obs is not None:
+            self.obs.instant(self.node_id, "duplicate_suppressed",
+                             op_id=msg.write_id, type=msg.type.name,
+                             resent=len(replies))
         for reply in list(replies):
             self._snic_send_control(msg.src, reply)
 
@@ -684,8 +668,6 @@ class OffloadEngine(EngineBase):
     def _snic_follower_inv(self, msg: Message):
         """Fig. 8 lines 28-38: the whole follower runs on the SNIC."""
         handling_started = self.sim.now
-        if self.tracer is not None:
-            self.trace("follower", "INV received", key=msg.key, ts=msg.ts)
         if self.obs is not None:
             self.obs.seg_begin(self.node_id, msg.write_id, "inv_handle",
                                lane="snic")

@@ -375,8 +375,6 @@ class RecoveryManager:
             if (not meta.rdlock_free
                     and meta.rdlock_owner <= meta.glb_volatile_ts):
                 meta.release_rdlock(meta.rdlock_owner)
-        engine.trace("recovery", "rollback restore", rebuild=rebuild,
-                     keys=len(line), ingested=len(missing))
         if engine.obs is not None:
             engine.obs.instant(node_id, "rollback_restore",
                                rebuild=rebuild, keys=len(line),

@@ -63,15 +63,11 @@ class FaultInjector:
         self.sim = sim
         self.plan = plan
         self.counters = FaultCounters()
-        #: Optional :class:`repro.trace.Tracer`; set by
-        #: ``MinosCluster.attach_tracer`` so fault events become
-        #: first-class trace categories.  Guarded at every emit site, so
-        #: tracing off costs one attribute check.
-        self.tracer = None
         #: Optional :class:`repro.obs.Observability`; set by
         #: ``MinosCluster.attach_obs`` / ``enable_faults``.  Fault
-        #: decisions become trace instants plus fabric counters; guarded
-        #: at every emit site like the tracer.
+        #: decisions become ``fault.*`` instants plus fabric counters;
+        #: guarded at every emit site, so recording off costs one
+        #: attribute check.
         self.obs = None
         self._rngs: Dict[Tuple[str, str], random.Random] = {}
 
@@ -84,18 +80,12 @@ class FaultInjector:
             self._rngs[(src, dst)] = rng
         return rng
 
-    def _trace(self, node: Optional[int], label: str, packet: Packet,
+    def _fault(self, node: int, name: str, packet: Packet,
                **details) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(node if node is not None else -1, "fault",
-                             label, src=packet.src, dst=packet.dst,
-                             **details)
         if self.obs is not None:
             write_id = getattr(packet.payload, "write_id", None)
-            self.obs.fault(node if node is not None else -1,
-                           label.replace(" ", "_"), src=packet.src,
-                           dst=packet.dst, kind=packet.kind,
-                           write_id=write_id, **details)
+            self.obs.fault(node, name, src=packet.src, dst=packet.dst,
+                           kind=packet.kind, write_id=write_id, **details)
 
     # -- the Port._deliver hook ------------------------------------------------
 
@@ -113,7 +103,7 @@ class FaultInjector:
             return [(packet, when)]  # not an inter-node link: no faults
         if self.plan.partitioned(src_node, dst_node, when):
             self.counters.partition_drops += 1
-            self._trace(dst_node, "partition drop", packet)
+            self._fault(dst_node, "partition_drop", packet)
             return []
         link = self.plan.link(src_node, dst_node)
         if not link.active:
@@ -121,21 +111,22 @@ class FaultInjector:
         rng = self._rng(packet.src, packet.dst)
         if rng.random() < link.drop:
             self.counters.dropped += 1
-            self._trace(dst_node, "drop", packet)
+            self._fault(dst_node, "drop", packet)
             return []
         arrival = when
         if link.delay > 0 and rng.random() < link.delay:
             self.counters.delayed += 1
             arrival = when + link.delay_s
-            self._trace(dst_node, "delay", packet, extra_s=link.delay_s)
+            self._fault(dst_node, "delay", packet, extra_s=link.delay_s)
         if link.reorder > 0 and rng.random() < link.reorder:
             self.counters.reordered += 1
             arrival = arrival + link.reorder_s
-            self._trace(dst_node, "reorder", packet, extra_s=link.reorder_s)
+            self._fault(dst_node, "reorder", packet,
+                        extra_s=link.reorder_s)
         out = [(packet, arrival)]
         if link.duplicate > 0 and rng.random() < link.duplicate:
             self.counters.duplicated += 1
-            self._trace(dst_node, "duplicate", packet)
+            self._fault(dst_node, "duplicate", packet)
             out.append((packet.clone(), arrival))
         return out
 
@@ -158,8 +149,6 @@ class FaultInjector:
     def _crash_driver(self, cluster, manager, window: CrashWindow):
         yield self.sim.timeout(window.at - self.sim.now)
         cluster.crash(window.node)
-        if self.tracer is not None:
-            self.tracer.emit(window.node, "fault", "crash")
         if self.obs is not None:
             self.obs.fault(window.node, "crash")
         if window.restore_at is None:
@@ -169,7 +158,5 @@ class FaultInjector:
             manager.recover(window.node)
         else:
             cluster.restore(window.node)
-        if self.tracer is not None:
-            self.tracer.emit(window.node, "fault", "restart")
         if self.obs is not None:
             self.obs.fault(window.node, "restart")

@@ -210,12 +210,13 @@ class BaselineNic:
         cost = self._send_cost(envelope.size_bytes)
         if not envelope.is_batched:
             sim.call_at(sim.now + cost, self._tx_send, envelope, ticket)
-        elif self.broadcast:
+        elif self.broadcast and envelope.dests:
             sim.call_at(sim.now + (self.params.snic.broadcast_setup + cost),
                         self._tx_send, envelope)
         else:
-            # No broadcast module: the firmware walks the destination map
-            # (one fixed unpack step) and replays the payload per
+            # No broadcast module (or an empty map: every peer excluded,
+            # nothing to broadcast): the firmware walks the destination
+            # map (one fixed unpack step) and replays the payload per
             # destination, as a dumb pipe's DMA engine would.
             sim.call_at(sim.now + self.params.snic.batch_unpack_per_dest,
                         self._tx_unpack, envelope)

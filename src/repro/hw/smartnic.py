@@ -105,8 +105,8 @@ class SmartNic:
         #: Crash flag: while halted the SNIC consumes and drops traffic
         #: instead of transmitting it (see :meth:`halt`).
         self.halted = False
-        #: Optional repro.obs.Observability (same no-op contract as the
-        #: engine's tracer); set via :meth:`attach_obs`.
+        #: Optional repro.obs.Observability (``None``: every record site
+        #: costs one attribute check); set via :meth:`attach_obs`.
         self.obs = None
         sim.spawn(self._tx_loop(), name=f"{self.endpoint}.tx")
 
@@ -204,7 +204,9 @@ class SmartNic:
                 self.messages_sent += 1
                 yield self.network.send(self.endpoint, nic_endpoint(dst),
                                         payload, size)
-            elif mode == "multi" and self.broadcast:
+            elif mode == "multi" and self.broadcast and dst:
+                # An empty destination list (every peer excluded) skips
+                # this arm: the per-copy loop below then sends nothing.
                 yield self.sim.sleep(self.params.snic.broadcast_setup +
                                      self._send_cost(size))
                 self.messages_sent += 1

@@ -11,12 +11,13 @@ counters, gauges, and log-bucketed histograms.
 
 Attach with :meth:`repro.cluster.cluster.MinosCluster.attach_obs`, then
 export with :func:`write_chrome_trace` (Perfetto /
-``chrome://tracing``-loadable) or :func:`write_jsonl`.  Detached, the
+``chrome://tracing``-loadable) or :func:`write_jsonl`, or print the
+per-node swim lanes with :func:`timeline`.  Detached, the
 layer costs one attribute check per call site and leaves the event
 calendar byte-identical (see ``tests/sim/test_calendar_identity.py``).
 """
 
-from repro.obs.export import (chrome_trace, jsonl_events,
+from repro.obs.export import (chrome_trace, jsonl_events, timeline,
                               validate_chrome_trace, write_chrome_trace,
                               write_jsonl)
 from repro.obs.recorder import FABRIC_NODE, Observability
@@ -33,6 +34,7 @@ __all__ = [
     "Span",
     "chrome_trace",
     "jsonl_events",
+    "timeline",
     "validate_chrome_trace",
     "write_chrome_trace",
     "write_jsonl",

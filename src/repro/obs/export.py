@@ -1,5 +1,6 @@
-"""Exporters: Chrome trace-event JSON (Perfetto / ``chrome://tracing``)
-and a line-delimited JSON (JSONL) stream.
+"""Exporters: Chrome trace-event JSON (Perfetto / ``chrome://tracing``),
+a line-delimited JSON (JSONL) stream, and a plain-text swim-lane
+timeline.
 
 The Chrome format is the de-facto interchange for span timelines: a
 top-level object with a ``traceEvents`` list of events, each carrying a
@@ -18,7 +19,7 @@ defects at once.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, List
+from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.obs.spans import LANE_OPS
 
@@ -186,6 +187,46 @@ def write_jsonl(obs, path: str) -> int:
             handle.write("\n")
             count += 1
     return count
+
+
+# -- text timeline ----------------------------------------------------------
+
+#: Character width of one node's lane in :func:`timeline`.
+_CELL = 24
+
+
+def timeline(obs) -> str:
+    """A per-node swim-lane rendering of *obs*: one row per operation
+    begin/end (``write:start`` ... ``write:complete``), per protocol
+    phase (its name and duration, at its start time) and per instant
+    (``fault.drop``, ``durable_advance``, ...), in time order (record
+    order on ties) and in the node's column."""
+    rows: List[Tuple[float, int, str]] = []
+    for span in obs.spans.values():
+        rows.append((span.start, span.node, f"{span.kind}:start"))
+        if span.end is not None:
+            status = "complete" if span.status == "ok" else span.status
+            rows.append((span.end, span.node, f"{span.kind}:{status}"))
+    for segment in obs.segments:
+        rows.append((segment.start, segment.node,
+                     f"{segment.phase} {segment.duration * _US:.2f}us"))
+    for instant in obs.instants:
+        rows.append((instant.time, instant.node, instant.name))
+    if not rows:
+        return "(no events)"
+    rows.sort(key=lambda row: row[:2])
+    nodes = sorted({node for _time, node, _label in rows})
+    lane = {node: index for index, node in enumerate(nodes)}
+    header = f"{'time (us)':>12s}  " + "  ".join(
+        f"{'node ' + str(node) if node >= 0 else 'fabric':<{_CELL}s}"
+        for node in nodes)
+    lines = [header.rstrip(), "-" * len(header)]
+    blank = [" " * _CELL] * len(nodes)
+    for time, node, label in rows:
+        cells = list(blank)
+        cells[lane[node]] = f"{label[:_CELL]:<{_CELL}s}"
+        lines.append((f"{time * _US:12.3f}  " + "  ".join(cells)).rstrip())
+    return "\n".join(lines)
 
 
 # -- validation -------------------------------------------------------------

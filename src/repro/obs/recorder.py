@@ -1,16 +1,17 @@
 """The :class:`Observability` recorder: span/segment/metrics collection.
 
-One recorder serves a whole cluster (like :class:`repro.trace.Tracer`):
+One recorder serves a whole cluster and is its one event record:
 engines, the fabric, the SmartNICs and the fault injector all hold a
 reference and call into it behind ``if self.obs is not None:`` guards.
 
-Zero-overhead contract (the same one the tracer documents): when no
-recorder is attached the only cost at a call site is the attribute
-check; when one *is* attached, every method here is record-only — list
-appends, dict updates, counter increments — and never creates events,
-processes, or timeouts, so the simulation calendar is byte-identical
-with and without the recorder (pinned by
-``tests/sim/test_calendar_identity.py``).
+Zero-overhead contract: when no recorder is attached the only cost at
+a call site is the attribute check; when one *is* attached, every
+method here is record-only — list appends, dict updates, counter
+increments — and never creates events, processes, or timeouts, so the
+simulation calendar is byte-identical with and without the recorder
+(pinned by ``tests/sim/test_calendar_identity.py``).  Call sites pass
+attribute values raw (no ``str()``/``round()``); the exporters render
+them.
 
 Defensive by design: segment ends without a matching begin, and span
 ends for unknown (or ``None``) op ids, are ignored rather than raised —
@@ -23,6 +24,7 @@ import itertools
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.metrics.stats import LatencyRecorder, Summary
+from repro.obs.export import timeline
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import (Instant, LANE_PHASES, Segment, Span,
                              freeze_attrs)
@@ -194,6 +196,12 @@ class Observability:
         return sorted(seen)
 
     # -- export --------------------------------------------------------------
+
+    def timeline(self) -> str:
+        """:func:`repro.obs.export.timeline` of this recorder — the
+        per-node swim lanes, reachable through the ``repro.api`` facade
+        without an extra export."""
+        return timeline(self)
 
     def to_dict(self) -> dict:
         return {

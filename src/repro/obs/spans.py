@@ -35,8 +35,8 @@ LANE_SNIC = "snic"
 
 
 def freeze_attrs(attrs: dict) -> Tuple[tuple, ...]:
-    """Deterministic (sorted) tuple form of a detail dict — the same
-    convention :class:`repro.trace.TraceEvent` uses for ``details``."""
+    """Deterministic (sorted) tuple form of an attribute dict, so two
+    runs that record the same attributes compare ``==``."""
     return tuple(sorted(attrs.items()))
 
 

@@ -1,5 +1,5 @@
 """Seeded-mutant gate for the protocol rules (the four flow-* rules and
-``meta-direct-write``).
+``meta-direct-write``) and the two fast-path parity rules.
 
 Each test copies the real engine sources into a scratch tree, seeds
 one protocol bug the corresponding rule exists to catch, and asserts
@@ -22,6 +22,7 @@ ROOT = find_project_root()
 
 BASELINE_ENGINE = "src/repro/core/baseline/engine.py"
 OFFLOAD_ENGINE = "src/repro/core/offload/engine.py"
+NETWORK = "src/repro/sim/network.py"
 
 FLOW_RULES = ("flow-unhandled-message", "flow-send-without-timeout",
               "flow-durable-order", "flow-meta-race", "protocol")
@@ -56,9 +57,9 @@ def findings_for(result, rule_id):
 
 
 def test_clean_tree_is_quiet(scratch):
-    """No protocol rule fires on the unmutated engines (else every gate
-    below is vacuous)."""
-    result = lint(scratch, FLOW_RULES)
+    """No protocol or fast-path rule fires on the unmutated tree (else
+    every gate below is vacuous)."""
+    result = lint(scratch, FLOW_RULES + ("fastpath",))
     assert result.findings == []
 
 
@@ -136,3 +137,30 @@ class TestDirectWrite:
         hits = findings_for(result, "meta-direct-write")
         assert "BaselineEngine.client_write" in {f.symbol for f in hits}
         assert result.gating
+
+
+class TestFastPath:
+    def test_state_store_in_an_obs_arm_fires(self, scratch):
+        mutate(scratch, BASELINE_ENGINE,
+               "            self.obs.seg_end(self.node_id, write_id, "
+               "\"lock_acquire\")\n"
+               "        txn: Optional[WriteTxn] = None\n",
+               "            self.obs.seg_end(self.node_id, write_id, "
+               "\"lock_acquire\")\n"
+               "            self.metrics.counters.rdlock_snatches += 1\n"
+               "        txn: Optional[WriteTxn] = None\n", count=1)
+        result = lint(scratch, ["fastpath"])
+        hits = findings_for(result, "fastpath-observer-effect")
+        assert [f.symbol for f in hits] == ["BaselineEngine.client_write"]
+
+    def test_dropping_a_delivery_arm_of_the_injector_fork_fires(
+            self, scratch):
+        mutate(scratch, NETWORK,
+               "        else:\n"
+               "            self._schedule_deliveries(deliveries)\n",
+               "        else:\n"
+               "            pass\n", count=1)
+        result = lint(scratch, ["fastpath"])
+        hits = findings_for(result, "fastpath-divergent-fork")
+        assert [f.symbol for f in hits] == ["Port._deliver"]
+        assert "_schedule_deliveries" in hits[0].message

@@ -11,10 +11,10 @@ class TestObserverEffect:
     def test_mutating_guarded_arm_flagged(self, finding_index):
         index = finding_index(_src("""
             class Port:
-                __slots__ = ("tracer", "drops")
+                __slots__ = ("obs", "drops")
 
                 def deliver(self, pkt):
-                    if self.tracer is not None:
+                    if self.obs is not None:
                         self.drops = self.drops + 1
         """), only=["fastpath"])
         assert index["fastpath-observer-effect"] == [
@@ -23,12 +23,13 @@ class TestObserverEffect:
     def test_trace_only_arm_allowed(self, finding_index):
         index = finding_index(_src("""
             class Port:
-                __slots__ = ("tracer",)
+                __slots__ = ("obs",)
 
                 def deliver(self, pkt):
-                    if self.tracer is not None:
-                        self.trace("deliver", pkt)
-                        self.tracer.record(pkt)
+                    if self.obs is not None:
+                        size = len(pkt)
+                        self.obs.instant(0, "deliver", size=size)
+                        self.record(pkt)
                     self.schedule(pkt)
         """), only=["fastpath"])
         assert "fastpath-observer-effect" not in index
@@ -71,7 +72,7 @@ class TestDivergentFork:
             "src/repro/bench/harness.py": textwrap.dedent("""
                 class Runner:
                     def run(self):
-                        if self.tracer is not None:
+                        if self.obs is not None:
                             self.counter = 1
             """)}, only=["fastpath"])
         assert index == {}

@@ -45,6 +45,16 @@ class TestWholeClusterRollback:
         assert all(run.durability_ok and run.linearizable
                    for run in report.runs)
 
+    def test_offload_whole_cluster_crash_with_every_peer_excluded(self):
+        """MINOS-O under <Lin, Synch>: with every peer excluded, a
+        coordinator's VAL broadcast has no destinations; the SmartNIC
+        sends nothing instead of aborting the run."""
+        report = run_check(model="synch", config=MINOS_O, nodes=3,
+                           ops_per_client=8, seeds=1, crash_trials=2,
+                           victims=3, max_time=us(30_000))
+        assert report.ok, (report.counterexample.detail
+                           if report.counterexample else report.to_dict())
+
     def test_k_node_subset_rollback(self):
         """victims strictly between 1 and nodes exercises the mixed
         path: crashed nodes rebuilt, survivors topped up to the line."""

@@ -2,15 +2,14 @@
 
 Two regressions are pinned here:
 
-* the same seed + plan reproduces a chaotic run *exactly* — trace for
-  trace, counter for counter, byte for byte of final state;
+* the same seed + plan reproduces a chaotic run *exactly* — fault and
+  robustness instant for instant, counter for counter, byte for byte of
+  final state;
 * installing a quiescent plan (no fault rates, no blind VAL re-sends)
   leaves the protocol's observable behavior identical to a run with no
   fault subsystem at all — the robustness timers arm but never fire a
   resend, so latencies match exactly.
 """
-
-import re
 
 from repro import LIN_STRICT, LIN_SYNCH, MINOS_B, MINOS_O, MinosCluster
 from repro.faults import (CrashWindow, FaultPlan, LinkFaults,
@@ -19,13 +18,18 @@ from repro.hw.params import DEFAULT_MACHINE, us
 from repro.workloads.ycsb import YcsbWorkload
 
 
+#: The robustness layer's obs instants (beside the ``fault.*`` ones).
+ROBUSTNESS_INSTANTS = {"duplicate_suppressed", "retransmit_give_up",
+                       "val_rebroadcast"}
+
+
 def chaotic_run(config, seed):
     plan = FaultPlan.lossy(
         seed=seed, drop=0.02, duplicate=0.02,
         crashes=(CrashWindow(node=3, at=us(80), restore_at=us(500)),))
     cluster = MinosCluster(model=LIN_SYNCH, config=config,
                            params=DEFAULT_MACHINE.with_nodes(4))
-    tracer = cluster.attach_tracer()
+    obs = cluster.attach_obs()
     workload = YcsbWorkload(records=20, requests_per_client=10,
                             write_fraction=0.8, seed=seed)
     result = run_chaos(cluster, plan, workload, clients_per_node=1)
@@ -34,11 +38,15 @@ def chaotic_run(config, seed):
              for key in node.kv.metadata.keys()}
     # write_ids are allocated from a process-global counter, so two runs
     # in one process produce the same writes with offset ids — mask them.
-    def masked(event):
-        return re.sub(r"write_id=\d+", "write_id=*", str(event))
+    def masked(instant):
+        return (instant.time, instant.node, instant.name,
+                tuple(attr for attr in instant.attrs
+                      if attr[0] != "write_id"))
 
     return {
-        "traces": [masked(event) for event in tracer.events],
+        "traces": [masked(instant) for instant in obs.instants
+                   if instant.name.startswith("fault.")
+                   or instant.name in ROBUSTNESS_INSTANTS],
         "fault_counters": result.fault_counters.to_dict(),
         "latencies": cluster.metrics.write_latency.samples,
         "state": state,

@@ -115,6 +115,32 @@ class TestDelivery:
         assert nics[0].messages_sent == 1
 
 
+    def test_empty_destination_map_sends_nothing(self):
+        """Every peer excluded: a dest-mapped envelope with no
+        destinations is consumed without a send, a count or the
+        broadcast set-up, so the next message leaves exactly when it
+        would on a NIC without the broadcast module."""
+        arrivals = {}
+        for broadcast in (False, True):
+            sim, net, hosts, nics = build_pair(broadcast=broadcast)
+            got = []
+
+            def receiver():
+                yield hosts[1].get()
+                got.append(sim.now)
+
+            sim.spawn(receiver())
+            nics[0].host_deposit(Envelope(payload="val", size_bytes=64,
+                                          src_node=0, dests=[]))
+            nics[0].host_deposit(Envelope(payload="ack", size_bytes=64,
+                                          src_node=0, dst=1))
+            sim.run()
+            assert nics[0].messages_sent == 1
+            assert net.port(nics[0].endpoint).packets_sent == 1
+            arrivals[broadcast] = got
+        assert arrivals[True] == arrivals[False] and len(arrivals[True]) == 1
+
+
 class TestTableIIITimings:
     """The timing model pinned by numbers worked out by hand from Table
     III (ns): PCIe 500 latency at 6.25 B/ns, NIC send cost 200 (data) /

@@ -38,7 +38,7 @@ class ReferenceNic(BaselineNic):
             size = envelope.size_bytes
             if not envelope.is_batched:
                 copies = [envelope]
-            elif self.broadcast:
+            elif self.broadcast and envelope.dests:
                 yield self.sim.timeout(self.params.snic.broadcast_setup +
                                        self._send_cost(size))
                 self.messages_sent += 1

@@ -149,6 +149,28 @@ class TestMessaging:
         assert abs(got[1] - got[0]) > 3e-7
         assert snics[0].messages_sent == 2
 
+    def test_send_multi_to_no_destinations_sends_nothing(self):
+        """Every peer excluded: an empty broadcast is consumed without a
+        send, a count or the broadcast set-up, so the next message leaves
+        exactly when it would on a NIC without the broadcast module."""
+        arrivals = {}
+        for broadcast in (False, True):
+            sim, net, _hosts, snics = build(broadcast=broadcast)
+            got = []
+
+            def receiver():
+                yield snics[1].net_inbox.get()
+                got.append(sim.now)
+
+            sim.spawn(receiver())
+            snics[0].send_multi([], "val", 64)
+            snics[0].send_message(1, "ack", 64)
+            sim.run()
+            assert snics[0].messages_sent == 1
+            assert net.port(snics[0].endpoint).packets_sent == 1
+            arrivals[broadcast] = got
+        assert arrivals[True] == arrivals[False] and len(arrivals[True]) == 1
+
     def test_send_to_host_lands_in_host_inbox(self):
         sim, _net, hosts, snics = build()
         got = []

@@ -1,7 +1,7 @@
 """The hot-path optimizations are calendar-transparent.
 
 Every fast path in the kernel and fabric — pooled timeouts, the
-skip-when-no-tracer guards in the engines, the skip-when-no-injector
+skip-when-no-recorder guards in the engines, the skip-when-no-injector
 branch in ``Port._deliver`` — claims to change only constant factors,
 never behavior.  These tests pin that claim: they install a
 :attr:`Simulator.schedule_observer` hook (called on every calendar
@@ -133,25 +133,10 @@ class TestTimeoutPooling:
         assert all(t._value is None for t in sim._timeout_pool)
 
 
-class TestTracerFastPath:
-    def test_attaching_a_tracer_does_not_change_the_calendar(self):
-        """The no-tracer guards skip bookkeeping only: with a tracer
-        attached the run must schedule the exact same events (tracing
-        observes the simulation, never perturbs it)."""
-        def attach(cluster):
-            cluster.attach_tracer()
-
-        for config in (MINOS_B, MINOS_O):
-            plain = run_small_workload(config)
-            traced = run_small_workload(config, setup=attach)
-            assert_identical(plain, traced)
-
-
 class TestObsFastPath:
     def test_attaching_obs_does_not_change_the_calendar(self):
-        """The span recorder claims the same zero-overhead contract as
-        the tracer: record-only bookkeeping behind ``obs is not None``
-        guards.  With a recorder attached the run must schedule the
+        """The span recorder claims a zero-overhead contract:
+        record-only bookkeeping behind ``obs is not None`` guards.  With a recorder attached the run must schedule the
         exact same events, or the exported timeline describes a
         *different* execution than the unobserved one."""
         def attach(cluster):
@@ -161,15 +146,6 @@ class TestObsFastPath:
             plain = run_small_workload(config)
             observed = run_small_workload(config, setup=attach)
             assert_identical(plain, observed)
-
-    def test_obs_and_tracer_together_are_calendar_transparent(self):
-        def attach_both(cluster):
-            cluster.attach_tracer()
-            cluster.attach_obs()
-
-        plain = run_small_workload(MINOS_O)
-        observed = run_small_workload(MINOS_O, setup=attach_both)
-        assert_identical(plain, observed)
 
     def test_obs_is_calendar_transparent_under_faults(self):
         """The retransmit/fault instrumentation must also be record-only:
@@ -207,7 +183,7 @@ class TestObsFastPath:
 
 class TestHistoryRecorderFastPath:
     """The correctness harness (repro.check) makes the same
-    record-only claim as the tracer and the span recorder: a run driven
+    record-only claim as the span recorder: a run driven
     by ``RecordingClient`` + ``HistoryRecorder`` must schedule the
     byte-identical event calendar of one driven by plain
     ``ClosedLoopClient`` s — the recorded history describes exactly the
